@@ -51,6 +51,8 @@ class Circuit:
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise ValueError("a circuit needs at least 3 vertices")
+        if not np.isfinite(verts).all():
+            raise ValueError(f"circuit vertices must be finite, got {verts}")
         if self.points_per_segment < 1:
             raise ValueError("points_per_segment must be >= 1")
         for a, b in zip(verts, verts[1:] + verts[:1]):

@@ -67,6 +67,13 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(((0.0, 0.0), (1.0, 0.0), (0.0, 0.0)))
 
+    def test_non_finite_vertex(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                Circuit(((0.0, 0.0), (bad, 0.0), (1.0, 1.0)))
+            with pytest.raises(ValueError):
+                Circuit(((0.0, 0.0), (1.0, bad), (1.0, 1.0)))
+
 
 class TestSampling:
     def test_closed_401(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomphase import PhaseTrace, PancharatnamReading, unwrap_append
+from geomphase import MonopoleScene, PhaseTrace, PancharatnamReading, unwrap_append
 from geomphase.circuits import Circuit, preset_circuit
 from geomphase.cli import (
     TRACE_CSV_HEADER,
@@ -74,10 +74,17 @@ class TestParse:
         assert excinfo.value.code == 2
 
     def test_bad_strength_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_args(["monopole", "--circuit", "abcda", "--strength", "0.3",
-                        "--out", str(tmp_path / "t.csv")])
-        assert excinfo.value.code == 2
+        for flags in (["--strength", "0.3"], ["--strength", "inf"],
+                      ["--strength", "-0.5", "--string-thickness", "nan"]):
+            with pytest.raises(SystemExit) as excinfo:
+                parse_args(["monopole", "--circuit", "abcda", *flags,
+                            "--out", str(tmp_path / "t.csv")])
+            assert excinfo.value.code == 2, flags
+
+    def test_monopole_scene_on_config(self, tmp_path):
+        cfg = parse_args(["monopole", "--circuit", "abcda", "--strength", "-0.5",
+                          "--string-thickness", "0.1", "--out", str(tmp_path / "t.csv")])
+        assert cfg.scene == MonopoleScene(-0.5, string_thickness=0.1)
 
     def test_branch_out_of_range_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -177,6 +184,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert "OrthogonalStates" in err
         assert "sample=0" in err
+
+    def test_nan_vertex_exits_2_without_output(self, tmp_path, capsys):
+        # Python's json reads NaN; the circuit must refuse it before any work
+        path = tmp_path / "nan.json"
+        path.write_text('{"vertices": [[0.5, 1.0], [NaN, 1.0], [1.5, -1.0]]}')
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle", "--circuit", str(path), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_monopole_thick_string_from_inside_closes(self, tmp_path, capsys):
+        # the circuit starts where the string pierces the loop
+        circuit = {"vertices": [[0.943584, -0.589894], [0.943584, 0.203164],
+                                [1.304905, 0.203164], [1.304905, -0.589894]],
+                   "points_per_segment": 100}
+        path = tmp_path / "inside.json"
+        path.write_text(json.dumps(circuit))
+        out = tmp_path / "m.csv"
+        assert main(["monopole", "--circuit", str(path), "--strength", "1.5",
+                     "--string-thickness", "0.056", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("winding=0 residual=0.000000 ")
+        assert float(out.read_text().splitlines()[1].split(",")[3]) == 0.0
 
     def test_oracle_command(self, tmp_path, capsys):
         out = tmp_path / "oracle.csv"
