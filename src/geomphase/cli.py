@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits, geometry, phase, spinsys
-from .errors import GeomphaseError
+from .errors import GeomphaseError, NonQuantizedWinding
 
 TRACE_CSV_HEADER = "index,b1,bz,c,alpha_wrapped,alpha_unwrapped,oracle_unwrapped"
 SWEEP_CSV_HEADER = "i,j,b1,bz,c,alpha_wrapped"
@@ -292,21 +292,13 @@ def _trace_json(trace):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _samples_csv(header, points, values, gap=""):
-    """One row per circuit sample; gap fills the columns before the value."""
-    lines = [header]
-    for k, ((b1, bz), value) in enumerate(zip(points, values)):
-        lines.append(f"{k},{_fmt_float(b1)},{_fmt_float(bz)},{gap}{_fmt_float(value)}")
+def _oracle_trace_csv(points, oracle):
+    lines = [TRACE_CSV_HEADER]
+    for k, ((b1, bz), value) in enumerate(zip(points, oracle)):
+        lines.append(
+            f"{k},{_fmt_float(b1)},{_fmt_float(bz)},,,,{_fmt_float(value)}"
+        )
     return "\n".join(lines) + "\n"
-
-
-def _samples_json(fields, points, key, values):
-    """JSON of the given top-level fields plus one entry per circuit sample."""
-    samples = [
-        {"index": k, "b1": p[0], "bz": p[1], key: float(v)}
-        for k, (p, v) in enumerate(zip(points, values))
-    ]
-    return json.dumps({**fields, "samples": samples}, indent=2) + "\n"
 
 
 def _sweep_csv(result):
@@ -319,6 +311,15 @@ def _sweep_csv(result):
                 f"{i},{j},{_fmt_float(b1)},{_fmt_float(bz)},"
                 f"{_fmt_float(result.modulus_c[i, j])},{alpha_txt}"
             )
+    return "\n".join(lines) + "\n"
+
+
+def _monopole_csv(points, phases):
+    lines = [MONOPOLE_CSV_HEADER]
+    for k, ((b1, bz), value) in enumerate(zip(points, phases)):
+        lines.append(
+            f"{k},{_fmt_float(b1)},{_fmt_float(bz)},{_fmt_float(value)}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -377,11 +378,18 @@ def _run_oracle(config):
     points = [tuple(p) for p in circuits.sample_circuit(config.circuit)]
     oracle = geometry.oracle_phase_trace(points, config.two_j)
     if config.fmt == "csv":
-        # the trace schema, with the simulated columns left empty
-        text = _samples_csv(TRACE_CSV_HEADER, points, oracle, gap=",,,")
+        text = _oracle_trace_csv(points, oracle)
     else:
-        fields = {"two_j": config.two_j}
-        text = _samples_json(fields, points, "oracle_unwrapped", oracle)
+        text = json.dumps(
+            {
+                "two_j": config.two_j,
+                "samples": [
+                    {"index": k, "b1": p[0], "bz": p[1], "oracle_unwrapped": float(v)}
+                    for k, (p, v) in enumerate(zip(points, oracle))
+                ],
+            },
+            indent=2,
+        ) + "\n"
     _write_text(config.out, text)
     delta = float(oracle[-1] - oracle[0])
     w = phase.winding_of_delta(delta)
@@ -430,17 +438,29 @@ def _run_monopole(config):
     points = [tuple(p) for p in circuits.sample_circuit(config.circuit)]
     phases = geometry.monopole_transport_trace(points, scene)
     if config.fmt == "csv":
-        text = _samples_csv(MONOPOLE_CSV_HEADER, points, phases)
+        text = _monopole_csv(points, phases)
     else:
-        fields = {
-            "strength_g": scene.strength_g,
-            "string_thickness": scene.string_thickness,
-        }
-        text = _samples_json(fields, points, "phase_unwrapped", phases)
+        text = json.dumps(
+            {
+                "strength_g": scene.strength_g,
+                "string_thickness": scene.string_thickness,
+                "samples": [
+                    {"index": k, "b1": p[0], "bz": p[1], "phase_unwrapped": float(v)}
+                    for k, (p, v) in enumerate(zip(points, phases))
+                ],
+            },
+            indent=2,
+        ) + "\n"
     _write_text(config.out, text)
     delta = float(phases[-1] - phases[0])
-    w = phase.winding_of_delta(delta)  # may raise NonQuantizedWinding -> exit 3
-    residual = abs(delta / (2.0 * np.pi) - w)
+    turns = delta / (2.0 * np.pi)
+    w = int(np.round(turns))
+    residual = abs(turns - w)
+    if residual >= phase.WINDING_RESIDUAL_TOL:
+        raise NonQuantizedWinding(
+            f"monopole net phase {delta:.6f} is not a 2*pi multiple",
+            residual=residual,
+        )
     print(_summary(w, residual, 0.0))
     return 0
 

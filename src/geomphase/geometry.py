@@ -6,12 +6,10 @@ controls the adiabatic-limit phase.  The same circle doubles as a current
 loop transported around a magnetic monopole at the origin, whose
 Aharonov-Bohm phase is the monopole strength times that solid angle.
 
-solid_angle evaluates the closed form of that solid angle in complete
-elliptic integrals, so the oracle is exact to rounding and has no sampling
-parameter.  A solid angle is only defined modulo 4*pi.  solid_angle returns
-a canonical representative in (-2*pi, 2*pi]; trace routines unwrap
-consecutive values with a shortest-branch rule of period 4*pi, which keeps
-the series continuous while the loop is dragged past the degeneracy.
+A solid angle is only defined modulo 4*pi.  solid_angle returns a canonical
+representative in (-2*pi, 2*pi]; trace routines unwrap consecutive values
+with a shortest-branch rule of period 4*pi, which keeps the series
+continuous while the loop is dragged past the degeneracy.
 """
 
 import math
@@ -32,8 +30,7 @@ ORACLE_SIGN = 1.0
 
 @dataclass(frozen=True)
 class LoopGeometry:
-    """Unit circle of center (b1, 0, bz), held exactly: solid_angle
-    evaluates its closed form, so there is no sampling parameter.
+    """Unit circle of center (b1, 0, bz), discretized with n_samples points.
 
     orientation +1 traverses the circle counterclockwise as seen from +z;
     -1 reverses the traversal.
@@ -41,13 +38,20 @@ class LoopGeometry:
 
     b1: float
     bz: float
+    n_samples: int = 4096
     orientation: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.b1) and math.isfinite(self.bz)):
             raise ValueError(f"b1 and bz must be finite, got ({self.b1}, {self.bz})")
+        if self.n_samples < 64:
+            raise ValueError(f"n_samples must be >= 64, got {self.n_samples}")
         if self.orientation not in (1, -1):
             raise ValueError(f"orientation must be +1 or -1, got {self.orientation}")
+
+    @property
+    def center(self):
+        return np.array([self.b1, 0.0, self.bz])
 
     def origin_distance(self):
         """Distance of closest approach of the circle to the origin."""
@@ -81,67 +85,44 @@ class MonopoleScene:
             raise ValueError("string_direction must be a unit vector")
 
 
-# Duplication stops once every argument lies within 4**-m * spread of the
-# running mean, which bounds the truncation error of the closing series by
-# 2**-53 (Carlson, Numer. Algorithms 10, 13 (1995)).
-_RF_SPREAD = (3.0 * 2.0**-53) ** (-1.0 / 6.0)
-_RJ_SPREAD = (2.0**-53 / 4.0) ** (-1.0 / 6.0)
+def _fibonacci_directions(m=128):
+    k = np.arange(m)
+    z = 1.0 - (2.0 * k + 1.0) / m
+    phi = k * np.pi * (3.0 - np.sqrt(5.0))
+    rho = np.sqrt(1.0 - z * z)
+    dirs = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    # poles first so symmetric loops resolve ties deterministically
+    return np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], dirs])
 
 
-def _carlson_rf(x, y, z):
-    """Carlson's R_F(x, y, z) by duplication; at most one argument is 0."""
-    a = (x + y + z) / 3.0
-    bound = _RF_SPREAD * max(abs(a - x), abs(a - y), abs(a - z))
-    scale = 1.0
-    while scale * bound >= a:
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sx * sz + sy * sz
-        x, y, z, a = ((v + lam) / 4.0 for v in (x, y, z, a))
-        scale /= 4.0
-    X, Y = 1.0 - x / a, 1.0 - y / a
-    Z = -X - Y
-    e2, e3 = X * Y - Z * Z, X * Y * Z
-    series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
-    return series / math.sqrt(a)
+_APEX_CANDIDATES = _fibonacci_directions()
+
+_TRIG_CACHE = {}
 
 
-def _carlson_rc1(t, w):
-    """R_C(1, w) for w = 1 + t > 0; t and w are each given to full precision."""
-    s = math.sqrt(abs(t))
-    if t > 0.0:
-        return math.atan(s) / s
-    # atanh(s) / s, written with w so that it keeps precision as w -> 0
-    return 0.5 * math.log1p(2.0 * s * (1.0 + s) / w) / s if t < 0.0 else 1.0
+def _unit_circle(n):
+    if n not in _TRIG_CACHE:
+        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        _TRIG_CACHE[n] = (np.cos(theta), np.sin(theta))
+    return _TRIG_CACHE[n]
 
 
-def _carlson_rj(x, y, z, p):
-    """Carlson's R_J(x, y, z, p) by duplication; p > 0 and at most one of
-    x, y, z is 0."""
-    a = (x + y + z + 2.0 * p) / 5.0
-    bound = _RJ_SPREAD * max(abs(a - x), abs(a - y), abs(a - z), abs(a - p))
-    scale, total = 1.0, 0.0
-    while scale * bound >= a:
-        sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
-        lam = sx * sy + sx * sz + sy * sz
-        d = (sp + sx) * (sp + sy) * (sp + sz)
-        # the R_C argument 1 + delta / d^2, with t = delta / d^2 as a product
-        # and 1 + t = 2 sp (p + lam) / d, so neither cancels near t = -1
-        t = (sp - sx) * (sp - sy) * (sp - sz) / d
-        total += scale / d * _carlson_rc1(t, 2.0 * sp * (p + lam) / d)
-        x, y, z, p, a = ((v + lam) / 4.0 for v in (x, y, z, p, a))
-        scale /= 4.0
-    X, Y, Z = 1.0 - x / a, 1.0 - y / a, 1.0 - z / a
-    P = -(X + Y + Z) / 2.0
-    xyz = X * Y * Z
-    e2 = X * Y + X * Z + Y * Z - 3.0 * P * P
-    e3 = xyz + 2.0 * e2 * P + 4.0 * P**3
-    e4 = (2.0 * xyz + e2 * P + 3.0 * P**3) * P
-    e5 = xyz * P * P
-    series = (
-        1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
-        - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0
-    )
-    return scale * series / (a * math.sqrt(a)) + 6.0 * total
+def _fan_sum(u, apex):
+    """Signed spherical area of the closed polygon u, fanned from apex.
+
+    Uses the tetrahedron (van Oosterom-Strackee) formula per triangle.
+    Exact for the polygon as long as no edge meets the apex antipode, which
+    the apex selection in solid_angle guarantees.
+    """
+    r2 = u
+    r3 = np.roll(u, -1, axis=0)
+    cross = np.empty_like(r2)
+    cross[:, 0] = r2[:, 1] * r3[:, 2] - r2[:, 2] * r3[:, 1]
+    cross[:, 1] = r2[:, 2] * r3[:, 0] - r2[:, 0] * r3[:, 2]
+    cross[:, 2] = r2[:, 0] * r3[:, 1] - r2[:, 1] * r3[:, 0]
+    triple = cross @ apex
+    denom = 1.0 + r2 @ apex + r3 @ apex + np.einsum("ki,ki->k", r2, r3)
+    return float(np.sum(2.0 * np.arctan2(triple, denom)))
 
 
 def _canonical_window(omega):
@@ -156,54 +137,54 @@ def _canonical_window(omega):
 def solid_angle(loop):
     """Signed solid angle subtended by the loop at the origin.
 
-    Closed form for a circle seen from an off-axis point (Paxton, Rev. Sci.
-    Instrum. 30, 254 (1959)).  With rho = |b1|, L = |bz|,
-    R^2 = (1 + rho)^2 + L^2, y = ((1 - rho)^2 + L^2) / R^2 and
-    q = (1 - rho) / (1 + rho):
-
-        Omega = sign(bz) (2 pi [rho < 1] + pi [rho = 1] - (2L/R) (K + q Pi))
-
-    where K = R_F(0, y, 1) and Pi = K + (1 - q^2)/3 R_J(0, y, 1, q^2) are the
-    complete elliptic integrals of the first and third kind.  The value is
-    exact to rounding and has no sampling parameter.  Returns the
-    representative in (-2*pi, 2*pi]; it is only defined modulo 4*pi.
+    The loop points are projected onto the unit sphere and fan-triangulated
+    from an apex chosen (from a fixed direction grid) to stay far from both
+    the projected curve and its antipodal image; this keeps every triangle
+    well conditioned even when the curve passes through a pole, which
+    happens whenever |b1| = 1.  Richardson extrapolation of the polygon
+    area in the sample count removes the leading discretization error, so
+    doubling n_samples beyond 4096 changes the result by far less than
+    1e-6.  Returns the representative in (-2*pi, 2*pi]; the value is only
+    defined modulo 4*pi.
     """
     if loop.origin_distance() < 1e-9:
         raise DegenerateLoop(
             f"loop at (b1={loop.b1}, bz={loop.bz}) passes through the origin"
         )
-    rho, height = abs(float(loop.b1)), abs(float(loop.bz))
-    r2 = (1.0 + rho) ** 2 + height * height
-    y = ((1.0 - rho) ** 2 + height * height) / r2
-    q = (1.0 - rho) / (1.0 + rho)
-    elliptic = _carlson_rf(0.0, y, 1.0)
-    if q != 0.0:  # q * Pi is 0 on the pole passage rho = 1, where R_J diverges
-        pi3 = elliptic + (1.0 - q * q) / 3.0 * _carlson_rj(0.0, y, 1.0, q * q)
-        elliptic += q * pi3
-    base = TWO_PI if rho < 1.0 else (np.pi if rho == 1.0 else 0.0)
-    omega = base - 2.0 * height / math.sqrt(r2) * elliptic
-    if loop.bz < 0.0:
-        omega = -omega
+    n = loop.n_samples
+    cos_t, sin_t = _unit_circle(n)
+    pts = np.empty((n, 3))
+    pts[:, 0] = loop.b1 + cos_t
+    pts[:, 1] = sin_t
+    pts[:, 2] = loop.bz
+    r = np.sqrt(np.einsum("ki,ki->k", pts, pts))
+    u = pts / r[:, None]
+    # apex farthest from the curve and its antipode (largest |cos| margin);
+    # a subsampled curve suffices to rank the candidates
+    stride = max(1, n // 256)
+    alignment = np.max(np.abs(_APEX_CANDIDATES @ u[::stride].T), axis=1)
+    apex = _APEX_CANDIDATES[int(np.argmin(alignment))]
+    area_full = _fan_sum(u, apex)
+    area_half = _fan_sum(u[::2], apex)
+    area = (4.0 * area_full - area_half) / 3.0
     # reversal negates the signed area before branch selection, so the
     # orientation antisymmetry is exact away from the +-2*pi branch edge
-    return _canonical_window(loop.orientation * omega)
+    return _canonical_window(loop.orientation * area)
 
 
 def unwrap_solid_angles(omegas):
     """Continuous branch of a sequence of solid angles (period 4*pi)."""
     omegas = np.asarray(omegas, dtype=float)
-    steps = np.diff(omegas)
-    steps -= FOUR_PI * np.floor(steps / FOUR_PI + 0.5)
-    return np.add.accumulate(np.concatenate((omegas[:1], steps)))
+    out = np.empty_like(omegas)
+    out[0] = omegas[0]
+    for k in range(1, len(omegas)):
+        step = omegas[k] - omegas[k - 1]
+        step -= FOUR_PI * np.floor(step / FOUR_PI + 0.5)
+        out[k] = out[k - 1] + step
+    return out
 
 
-def _circuit_solid_angles(circuit_samples):
-    """Canonical and unwrapped solid angles at each (b1, bz) sample."""
-    omegas = [solid_angle(LoopGeometry(b1, bz)) for b1, bz in circuit_samples]
-    return omegas, unwrap_solid_angles(omegas)
-
-
-def oracle_phase_trace(circuit_samples, two_j=1):
+def oracle_phase_trace(circuit_samples, two_j=1, n_samples=4096):
     """Adiabatic-limit prediction of the unwrapped interference phase.
 
     For each (b1, bz) the field-cycle solid angle is computed, the sequence
@@ -211,7 +192,11 @@ def oracle_phase_trace(circuit_samples, two_j=1):
     ORACLE_SIGN * two_j * (Omega - Omega_0) / 2, which starts at zero.  A
     closed circuit looping a degeneracy once accumulates -+2*pi*two_j.
     """
-    _, unwrapped = _circuit_solid_angles(circuit_samples)
+    omegas = [
+        solid_angle(LoopGeometry(b1, bz, n_samples=n_samples))
+        for b1, bz in circuit_samples
+    ]
+    unwrapped = unwrap_solid_angles(omegas)
     return ORACLE_SIGN * two_j * (unwrapped - unwrapped[0]) / 2.0
 
 
@@ -248,7 +233,7 @@ def string_pierces_loop(loop, scene):
     return d < 1.0
 
 
-def monopole_transport_trace(circuit_samples, scene):
+def monopole_transport_trace(circuit_samples, scene, n_samples=4096):
     """Accumulated interference phase while the loop is carried along a
     circuit in the monopole field.
 
@@ -260,7 +245,11 @@ def monopole_transport_trace(circuit_samples, scene):
     which restores a net zero change over any closed circuit.
     """
     g = scene.strength_g
-    omegas, unwrapped = _circuit_solid_angles(circuit_samples)
+    omegas = [
+        solid_angle(LoopGeometry(b1, bz, n_samples=n_samples))
+        for b1, bz in circuit_samples
+    ]
+    unwrapped = unwrap_solid_angles(omegas)
     phases = g * (unwrapped - unwrapped[0])
     if scene.string_thickness == 0.0:
         return phases
