@@ -8,8 +8,7 @@ alongside.  Optional adaptive bisection refines the sampling wherever the
 wrapped phase moves too fast for the shortest-branch rule to be trusted.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,31 +132,13 @@ def _distance_to_singularities(b1, bz):
     return min(np.hypot(b1 - s1, bz - s2) for s1, s2 in SINGULAR_POINTS)
 
 
-def _arm_reading(b1, bz, beta, two_j, omega_sign, settings, branch):
-    params = spinsys.FieldParams(b1, bz, beta, two_j, omega_sign)
-    _, psi1 = spinsys.evolve_arm(params, spinsys.ArmSense.PLUS, settings, branch)
-    _, psi2 = spinsys.evolve_arm(params, spinsys.ArmSense.MINUS, settings, branch)
-    return phase.pancharatnam(psi1, psi2)
-
-
-def _evaluate_samples(samples, beta, two_j, omega_sign, settings, branch, threads):
-    def one(indexed):
-        k, point = indexed
-        try:
-            return _arm_reading(
-                point[0], point[1], beta, two_j, omega_sign, settings, branch
-            )
-        except OrthogonalStates as exc:
-            raise OrthogonalStates(
-                f"arm states orthogonal at sample {k} "
-                f"(b1={point[0]:.6g}, bz={point[1]:.6g})",
-                sample_index=k,
-            ) from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, enumerate(samples)))
-    return [one(item) for item in enumerate(samples)]
+def _arm_states(point, beta, two_j, omega_sign, settings, branch):
+    """Final states of the PLUS and MINUS arms at one parameter point."""
+    params = spinsys.FieldParams(point[0], point[1], beta, two_j, omega_sign)
+    return [
+        spinsys.evolve_arm(params, arm, settings, branch)[1]
+        for arm in (spinsys.ArmSense.PLUS, spinsys.ArmSense.MINUS)
+    ]
 
 
 def _refine_between(p0, r0, p1, r1, evaluate, depth, base_index):
@@ -189,7 +170,6 @@ def trace_circuit(
     refine=False,
     omega_sign=1,
     branch=0,
-    threads=1,
 ):
     """Drive a circuit: simulate both arms at every sample and unwrap.
 
@@ -209,23 +189,22 @@ def trace_circuit(
                 sample_index=k,
             )
 
-    readings = _evaluate_samples(
-        samples, beta, two_j, omega_sign, settings, branch, threads
-    )
+    def evaluate(point, k=None):
+        try:
+            return phase.pancharatnam(
+                *_arm_states(point, beta, two_j, omega_sign, settings, branch)
+            )
+        except OrthogonalStates as exc:
+            where = "refined point" if k is None else f"sample {k}"
+            raise OrthogonalStates(
+                f"arm states orthogonal at {where} "
+                f"(b1={point[0]:.6g}, bz={point[1]:.6g})",
+                sample_index=k,
+            ) from exc
+
+    readings = [evaluate(point, k) for k, point in enumerate(samples)]
     pairs = list(zip([tuple(p) for p in samples], readings))
     if refine:
-
-        def evaluate(point):
-            try:
-                return _arm_reading(
-                    point[0], point[1], beta, two_j, omega_sign, settings, branch
-                )
-            except OrthogonalStates as exc:
-                raise OrthogonalStates(
-                    f"arm states orthogonal at refined point "
-                    f"(b1={point[0]:.6g}, bz={point[1]:.6g})"
-                ) from exc
-
         refined = [pairs[0]]
         for k, ((p0, r0), (p1, r1)) in enumerate(zip(pairs, pairs[1:])):
             inserted = _refine_between(p0, r0, p1, r1, evaluate, 0, k)
@@ -310,7 +289,6 @@ def sweep_plane(
     settings=spinsys.PropagationSettings(),
     omega_sign=1,
     branch=0,
-    threads=1,
 ):
     """Pancharatnam readings over an (nx, ny) grid of parameter points.
 
@@ -322,25 +300,15 @@ def sweep_plane(
         raise ValueError("grid dimensions must be >= 2")
     b1s = np.linspace(b1_range[0], b1_range[1], nx)
     bzs = np.linspace(bz_range[0], bz_range[1], ny)
-    cells = [(b1, bz) for bz in bzs for b1 in b1s]
-
-    def one(cell):
-        b1, bz = cell
-        params = spinsys.FieldParams(b1, bz, beta, two_j, omega_sign)
-        _, psi1 = spinsys.evolve_arm(params, spinsys.ArmSense.PLUS, settings, branch)
-        _, psi2 = spinsys.evolve_arm(params, spinsys.ArmSense.MINUS, settings, branch)
-        overlap = np.vdot(psi2, psi1)
-        c = 2.0 * abs(overlap)
-        if abs(overlap) < phase.ORTHOGONALITY_TOL:
-            return c, np.nan
-        return c, float(np.angle(overlap))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, cells))
-    else:
-        results = [one(cell) for cell in cells]
-
-    cs = np.array([r[0] for r in results]).reshape(ny, nx)
-    alphas = np.array([r[1] for r in results]).reshape(ny, nx)
-    return SweepResult(b1s, bzs, cs, alphas)
+    cs, alphas = [], []
+    for bz in bzs:
+        for b1 in b1s:
+            psi1, psi2 = _arm_states(
+                (b1, bz), beta, two_j, omega_sign, settings, branch
+            )
+            overlap = np.vdot(psi2, psi1)
+            cs.append(2.0 * abs(overlap))
+            defined = abs(overlap) >= phase.ORTHOGONALITY_TOL
+            alphas.append(float(np.angle(overlap)) if defined else np.nan)
+    shape = (ny, nx)
+    return SweepResult(b1s, bzs, np.reshape(cs, shape), np.reshape(alphas, shape))

@@ -18,16 +18,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import circuits, geometry, phase, spinsys
-from .errors import GeomphaseError, NonQuantizedWinding
+from .errors import GeomphaseError
 
-TRACE_CSV_HEADER = "index,b1,bz,c,alpha_wrapped,alpha_unwrapped,oracle_unwrapped"
-SWEEP_CSV_HEADER = "i,j,b1,bz,c,alpha_wrapped"
-MONOPOLE_CSV_HEADER = "index,b1,bz,phase_unwrapped"
+TRACE_COLUMNS = (
+    "index", "b1", "bz", "c", "alpha_wrapped", "alpha_unwrapped", "oracle_unwrapped"
+)
+TRACE_CSV_HEADER = ",".join(TRACE_COLUMNS)
+SWEEP_COLUMNS = ("i", "j", "b1", "bz", "c", "alpha_wrapped")
+MONOPOLE_COLUMNS = ("index", "b1", "bz", "phase_unwrapped")
 
 
 @dataclass
@@ -46,17 +49,12 @@ class RunConfig:
     omega_sign: int = 1
     out: str = None
     fmt: str = "csv"
-    threads: int = 1
     # sweep-only
     b1_range: tuple = None
     bz_range: tuple = None
     grid: tuple = None
     # monopole-only
     scene: geometry.MonopoleScene = None
-
-
-def _fmt_float(x):
-    return f"{x:.16e}"
 
 
 def circuit_to_json(circuit):
@@ -107,16 +105,6 @@ def _load_circuit(value, points_override=None):
     return circuit, beta
 
 
-def _default_threads():
-    env = os.environ.get("GEOMPHASE_THREADS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="geomphase",
@@ -150,7 +138,6 @@ def _build_parser():
     sim.add_argument("--branch", type=int, default=0,
                      help="starting eigenstate index, 0 = lowest")
     sim.add_argument("--omega-sign", type=int, choices=(1, -1), default=1)
-    sim.add_argument("--threads", type=int, default=None)
 
     orc = sub.add_parser("oracle", help="solid-angle prediction only")
     add_common(orc, needs_beta=False)
@@ -166,7 +153,6 @@ def _build_parser():
     swp.add_argument("--beta", type=float, required=True)
     swp.add_argument("--two-j", dest="two_j", type=int, default=1)
     swp.add_argument("--steps", dest="n_steps", type=int, default=20000)
-    swp.add_argument("--threads", type=int, default=None)
     swp.add_argument("--out", required=True)
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -183,32 +169,33 @@ def parse_args(argv=None):
     """Parse and validate a command line into a RunConfig.
 
     argparse handles unknown flags and missing arguments with exit code 2;
-    semantic errors (bad circuit files, invalid strengths) are reported the
-    same way.
+    semantic errors (bad circuit files, invalid strengths, a missing output
+    directory) are reported the same way.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
         return _config_from_namespace(ns)
-    except (ValueError, json.JSONDecodeError) as exc:
-        parser.exit(2, f"geomphase: error: {exc}\n")
+    except (ValueError, OSError) as exc:
+        parser.exit(2, _error_line(exc))
+
+
+def _error_line(exc):
+    return f"geomphase: error: {exc}\n"
 
 
 def _config_from_namespace(ns):
-    config = RunConfig(command=ns.command)
-    config.out = ns.out
-    config.fmt = ns.format
+    if not os.path.isdir(os.path.dirname(ns.out) or "."):
+        raise ValueError(f"--out directory does not exist: {ns.out}")
+    config = RunConfig(command=ns.command, out=ns.out, fmt=ns.format)
 
     if ns.command == "sweep":
-        if ns.nx < 2 or ns.ny < 2:
-            raise ValueError("sweep grid dimensions must be >= 2")
         config.b1_range = (ns.b1_min, ns.b1_max)
         config.bz_range = (ns.bz_min, ns.bz_max)
         config.grid = (ns.nx, ns.ny)
         config.beta = ns.beta
         config.two_j = ns.two_j
         config.n_steps = ns.n_steps
-        config.threads = ns.threads if ns.threads else _default_threads()
         return config
 
     circuit, preset_beta = _load_circuit(ns.circuit, ns.points_per_segment)
@@ -225,9 +212,6 @@ def _config_from_namespace(ns):
         config.refine = ns.refine
         config.branch = ns.branch
         config.omega_sign = ns.omega_sign
-        config.threads = ns.threads if ns.threads else _default_threads()
-        if config.two_j < 1:
-            raise ValueError("--two-j must be >= 1")
         if not 0 <= config.branch <= config.two_j:
             raise ValueError("--branch must lie in [0, two_j]")
     elif ns.command == "oracle":
@@ -246,85 +230,46 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _trace_csv(trace):
-    lines = [TRACE_CSV_HEADER]
-    for s in trace.samples:
-        oracle = "" if s.oracle_unwrapped is None else _fmt_float(s.oracle_unwrapped)
-        lines.append(
-            f"{s.index},{_fmt_float(s.b1)},{_fmt_float(s.bz)},"
-            f"{_fmt_float(s.modulus_c)},{_fmt_float(s.alpha_wrapped)},"
-            f"{_fmt_float(s.alpha_unwrapped)},{oracle}"
-        )
+def _cell(x):
+    if isinstance(x, int):
+        return str(x)
+    return "" if x is None or np.isnan(x) else f"{x:.16e}"
+
+
+def _table(fmt, columns, rows, **head):
+    """One row per sample, as CSV or as JSON {**head, "samples": [...]}.
+
+    CSV floats carry 17 significant digits and None or NaN leaves an empty
+    field; JSON samples omit None values.
+    """
+    if fmt == "json":
+        samples = [
+            {name: x for name, x in zip(columns, row) if x is not None}
+            for row in rows
+        ]
+        return json.dumps({**head, "samples": samples}, indent=2) + "\n"
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _trace_json(trace):
-    meta = trace.metadata
-    payload = {
-        "metadata": None
-        if meta is None
-        else {
-            "beta": meta.beta,
-            "two_j": meta.two_j,
-            "omega_sign": meta.omega_sign,
-            "branch": meta.branch,
-            "n_steps": meta.n_steps,
-            "sampling_rule": meta.sampling_rule,
-            "exp_method": meta.exp_method,
-            "circuit_name": meta.circuit_name,
-            "vertices": [list(v) for v in meta.vertices],
-            "points_per_segment": meta.points_per_segment,
-            "refine": meta.refine,
-        },
-        "samples": [
-            {
-                "index": s.index,
-                "b1": s.b1,
-                "bz": s.bz,
-                "c": s.modulus_c,
-                "alpha_wrapped": s.alpha_wrapped,
-                "alpha_unwrapped": s.alpha_unwrapped,
-                "oracle_unwrapped": s.oracle_unwrapped,
-            }
-            for s in trace.samples
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _oracle_trace_csv(points, oracle):
-    lines = [TRACE_CSV_HEADER]
-    for k, ((b1, bz), value) in enumerate(zip(points, oracle)):
-        lines.append(
-            f"{k},{_fmt_float(b1)},{_fmt_float(bz)},,,,{_fmt_float(value)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_csv(result):
-    lines = [SWEEP_CSV_HEADER]
-    for i, bz in enumerate(result.bz_values):
-        for j, b1 in enumerate(result.b1_values):
-            alpha = result.alpha_wrapped[i, j]
-            alpha_txt = "" if np.isnan(alpha) else _fmt_float(alpha)
-            lines.append(
-                f"{i},{j},{_fmt_float(b1)},{_fmt_float(bz)},"
-                f"{_fmt_float(result.modulus_c[i, j])},{alpha_txt}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _monopole_csv(points, phases):
-    lines = [MONOPOLE_CSV_HEADER]
-    for k, ((b1, bz), value) in enumerate(zip(points, phases)):
-        lines.append(
-            f"{k},{_fmt_float(b1)},{_fmt_float(bz)},{_fmt_float(value)}"
-        )
-    return "\n".join(lines) + "\n"
+def _trace_table(trace, fmt):
+    rows = [
+        (s.index, s.b1, s.bz, s.modulus_c, s.alpha_wrapped, s.alpha_unwrapped,
+         s.oracle_unwrapped)
+        for s in trace.samples
+    ]
+    meta = None if trace.metadata is None else asdict(trace.metadata)
+    return _table(fmt, TRACE_COLUMNS, rows, metadata=meta)
 
 
 def _summary(winding, residual, max_dev):
     return f"winding={winding} residual={residual:.6f} max_oracle_dev={max_dev:.6f}"
+
+
+def _closed_summary(delta):
+    """Summary of a closed circuit's net phase (NonQuantizedWinding -> 3)."""
+    w = phase.winding_of_delta(delta)
+    return _summary(w, abs(delta / (2.0 * np.pi) - w), 0.0)
 
 
 def run(config):
@@ -345,6 +290,9 @@ def run(config):
         where = f" sample={index}" if index is not None else ""
         print(f"{kind}:{where} {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        sys.stderr.write(_error_line(exc))
+        return 2
 
 
 def _run_simulate(config):
@@ -361,10 +309,8 @@ def _run_simulate(config):
         refine=config.refine,
         omega_sign=config.omega_sign,
         branch=config.branch,
-        threads=config.threads,
     )
-    text = _trace_csv(trace) if config.fmt == "csv" else _trace_json(trace)
-    _write_text(config.out, text)
+    _write_text(config.out, _trace_table(trace, config.fmt))
 
     delta = trace.delta_alpha()
     max_dev = circuits.max_oracle_deviation(trace)
@@ -377,24 +323,14 @@ def _run_simulate(config):
 def _run_oracle(config):
     points = [tuple(p) for p in circuits.sample_circuit(config.circuit)]
     oracle = geometry.oracle_phase_trace(points, config.two_j)
-    if config.fmt == "csv":
-        text = _oracle_trace_csv(points, oracle)
-    else:
-        text = json.dumps(
-            {
-                "two_j": config.two_j,
-                "samples": [
-                    {"index": k, "b1": p[0], "bz": p[1], "oracle_unwrapped": float(v)}
-                    for k, (p, v) in enumerate(zip(points, oracle))
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    _write_text(config.out, text)
-    delta = float(oracle[-1] - oracle[0])
-    w = phase.winding_of_delta(delta)
-    residual = abs(delta / (2.0 * np.pi) - w)
-    print(_summary(w, residual, 0.0))
+    rows = [
+        (k, b1, bz, None, None, None, float(v))
+        for k, ((b1, bz), v) in enumerate(zip(points, oracle))
+    ]
+    _write_text(
+        config.out, _table(config.fmt, TRACE_COLUMNS, rows, two_j=config.two_j)
+    )
+    print(_closed_summary(float(oracle[-1] - oracle[0])))
     return 0
 
 
@@ -407,10 +343,14 @@ def _run_sweep(config):
         config.beta,
         two_j=config.two_j,
         settings=settings,
-        threads=config.threads,
     )
     if config.fmt == "csv":
-        text = _sweep_csv(result)
+        rows = [
+            (i, j, b1, bz, result.modulus_c[i, j], result.alpha_wrapped[i, j])
+            for i, bz in enumerate(result.bz_values)
+            for j, b1 in enumerate(result.b1_values)
+        ]
+        text = _table("csv", SWEEP_COLUMNS, rows)
     else:
         text = json.dumps(
             {
@@ -437,31 +377,12 @@ def _run_monopole(config):
     scene = config.scene
     points = [tuple(p) for p in circuits.sample_circuit(config.circuit)]
     phases = geometry.monopole_transport_trace(points, scene)
-    if config.fmt == "csv":
-        text = _monopole_csv(points, phases)
-    else:
-        text = json.dumps(
-            {
-                "strength_g": scene.strength_g,
-                "string_thickness": scene.string_thickness,
-                "samples": [
-                    {"index": k, "b1": p[0], "bz": p[1], "phase_unwrapped": float(v)}
-                    for k, (p, v) in enumerate(zip(points, phases))
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    _write_text(config.out, text)
-    delta = float(phases[-1] - phases[0])
-    turns = delta / (2.0 * np.pi)
-    w = int(np.round(turns))
-    residual = abs(turns - w)
-    if residual >= phase.WINDING_RESIDUAL_TOL:
-        raise NonQuantizedWinding(
-            f"monopole net phase {delta:.6f} is not a 2*pi multiple",
-            residual=residual,
-        )
-    print(_summary(w, residual, 0.0))
+    rows = [
+        (k, b1, bz, float(v)) for k, ((b1, bz), v) in enumerate(zip(points, phases))
+    ]
+    head = {"strength_g": scene.strength_g, "string_thickness": scene.string_thickness}
+    _write_text(config.out, _table(config.fmt, MONOPOLE_COLUMNS, rows, **head))
+    print(_closed_summary(float(phases[-1] - phases[0])))
     return 0
 
 

@@ -163,7 +163,7 @@ def winding_of_delta(delta_alpha):
     residual = abs(turns - w)
     if residual >= WINDING_RESIDUAL_TOL:
         raise NonQuantizedWinding(
-            f"delta_alpha = {delta_alpha:.6f} is {residual:.3f} turns away "
+            f"net phase {delta_alpha:.6f} is {residual:.3f} turns away "
             "from the nearest integer winding",
             residual=residual,
         )

@@ -64,6 +64,11 @@ class FieldParams:
     omega_sign: int = 1
 
     def __post_init__(self):
+        if not np.isfinite([self.b1, self.bz, self.beta]).all():
+            raise ValueError(
+                f"b1, bz and beta must be finite, got "
+                f"b1={self.b1}, bz={self.bz}, beta={self.beta}"
+            )
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if int(self.two_j) != self.two_j or self.two_j < 1:

@@ -222,18 +222,6 @@ class TestTraceCircuit:
                 circuit, beta=2e6, settings=PropagationSettings(1000), refine=True
             )
 
-    def test_threads_do_not_change_results(self):
-        circuit, beta = preset_circuit("spqrs")
-        small = Circuit(circuit.vertices, 20, circuit.name)
-        t1 = trace_circuit(small, beta, settings=FAST, threads=1)
-        t4 = trace_circuit(small, beta, settings=FAST, threads=4)
-        assert [s.alpha_unwrapped for s in t1.samples] == [
-            s.alpha_unwrapped for s in t4.samples
-        ]
-        assert [s.modulus_c for s in t1.samples] == [
-            s.modulus_c for s in t4.samples
-        ]
-
     def test_metadata_record(self):
         circuit, beta = preset_circuit("spqrs")
         small = Circuit(circuit.vertices, 5, circuit.name)

@@ -14,7 +14,7 @@ from geomphase.cli import (
     circuit_to_json,
     main,
     parse_args,
-    _trace_csv,
+    _trace_table,
 )
 
 # a small rectangle around the first singular point: cheap but physical
@@ -22,6 +22,12 @@ SMALL_CIRCUIT = {
     "vertices": [[0.5, 1.0], [1.5, 1.0], [1.5, -1.0], [0.5, -1.0]],
     "points_per_segment": 15,
 }
+
+
+# a 2x2 grid near the first singular point, cheap enough to fail fast
+SMALL_SWEEP = ["--b1-min", "0.5", "--b1-max", "1.5", "--bz-min", "-0.5",
+               "--bz-max", "0.5", "--nx", "2", "--ny", "2", "--beta", "5",
+               "--steps", "100"]
 
 
 @pytest.fixture
@@ -91,13 +97,6 @@ class TestParse:
             parse_args(["simulate", "--circuit", "abcda", "--branch", "2",
                         "--out", str(tmp_path / "t.csv")])
         assert excinfo.value.code == 2
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GEOMPHASE_THREADS", "3")
-        cfg = parse_args(
-            ["simulate", "--circuit", "abcda", "--out", str(tmp_path / "t.csv")]
-        )
-        assert cfg.threads == 3
 
     def test_points_per_segment_override(self, tmp_path):
         cfg = parse_args(
@@ -281,6 +280,52 @@ class TestRun:
         assert len(payload["modulus_c"]) == 2
         assert len(payload["modulus_c"][0]) == 3
 
+    @pytest.mark.parametrize("argv, out_name", [
+        (["sweep", *SMALL_SWEEP, "--two-j", "0"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--beta", "-1"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--beta", "nan"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--steps", "0"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--nx", "1"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--b1-min", "nan"], "out.csv"),
+        (["simulate", "--circuit", "spqrs", "--steps", "0"], "out.csv"),
+        (["simulate", "--circuit", "spqrs", "--beta", "nan"], "out.csv"),
+        (["simulate", "--circuit", "spqrs", "--beta", "inf"], "out.csv"),
+        (["simulate", "--circuit", "spqrs", "--two-j", "0"], "out.csv"),
+        # checked before any work, not at the write after the full compute
+        (["simulate", "--circuit", "spqrs"], "missing/out.csv"),
+    ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else v)
+    def test_invalid_input_exits_2_without_output(self, argv, out_name, tmp_path,
+                                                  capsys):
+        out = tmp_path / out_name
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("geomphase: error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--beta", "20", "--steps", "500", "--refine"],
+        ["oracle"],
+        ["monopole", "--strength", "-0.5", "--string-thickness", "0.1"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_and_json_carry_the_same_numbers(self, argv, tmp_path):
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps({**SMALL_CIRCUIT, "points_per_segment": 4}))
+        texts = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"t.{fmt}"
+            assert main([argv[0], "--circuit", str(path), *argv[1:],
+                         "--format", fmt, "--out", str(out)]) == 0
+            texts[fmt] = out.read_text()
+        header, *rows = texts["csv"].splitlines()
+        samples = json.loads(texts["json"])["samples"]
+        assert len(samples) == len(rows)
+        if argv[0] == "simulate":
+            assert len(rows) > 4 * 4 + 1  # refinement spliced samples in
+        for row, sample in zip(rows, samples):
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert set(sample) == {k for k, v in cells.items() if v != ""}
+            for key, value in sample.items():
+                assert value == float(cells[key]), key
+
     def test_non_enclosing_circuit_reports_zero(self, tmp_path, capsys):
         circuit = {"vertices": [[2.0, 1.0], [3.0, 1.0], [3.0, -1.0], [2.0, -1.0]],
                    "points_per_segment": 10}
@@ -295,7 +340,7 @@ class TestCsvWriter:
     def test_empty_oracle_cell(self):
         trace = PhaseTrace()
         unwrap_append(trace, PancharatnamReading(2.0, 0.5), b1=0.1, bz=0.2)
-        text = _trace_csv(trace)
+        text = _trace_table(trace, "csv")
         lines = text.splitlines()
         assert lines[0] == TRACE_CSV_HEADER
         assert lines[1].endswith(",")  # oracle column empty, no padding
@@ -322,12 +367,3 @@ class TestRegressionFixture:
             assert cf[0] == cz[0]
             for a, b in zip(cf[1:], cz[1:]):
                 assert abs(float(a) - float(b)) < 1e-12
-
-    def test_thread_count_leaves_bytes_unchanged(self, tmp_path):
-        single = tmp_path / "t1.csv"
-        pooled = tmp_path / "t3.csv"
-        base = ["simulate", "--circuit", "spqrs", "--points-per-segment", "10",
-                "--steps", "2000"]
-        main(base + ["--out", str(single)])
-        main(base + ["--threads", "3", "--out", str(pooled)])
-        assert single.read_bytes() == pooled.read_bytes()

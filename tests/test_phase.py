@@ -182,7 +182,7 @@ class TestWinding:
         assert winding_of_delta(0.001) == 0
 
     def test_non_quantized(self):
-        with pytest.raises(NonQuantizedWinding):
+        with pytest.raises(NonQuantizedWinding, match="net phase 1.570796 "):
             winding_of_delta(np.pi / 2)
 
     def test_trace_requires_closure(self):

@@ -96,6 +96,12 @@ class TestFieldParams:
         with pytest.raises(ValueError):
             FieldParams(0.0, 0.0, 1.0, omega_sign=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        for args in ((bad, 0.0, 1.0), (0.0, bad, 1.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                FieldParams(*args)
+
 
 class TestHamiltonian:
     def test_at_time_zero(self):
