@@ -187,6 +187,8 @@ def _error_line(exc):
 def _config_from_namespace(ns):
     if not os.path.isdir(os.path.dirname(ns.out) or "."):
         raise ValueError(f"--out directory does not exist: {ns.out}")
+    if os.path.isdir(ns.out):
+        raise ValueError(f"--out names a directory: {ns.out}")
     config = RunConfig(command=ns.command, out=ns.out, fmt=ns.format)
 
     if ns.command == "sweep":
@@ -200,12 +202,15 @@ def _config_from_namespace(ns):
 
     circuit, preset_beta = _load_circuit(ns.circuit, ns.points_per_segment)
     config.circuit = circuit
+    if ns.command in ("simulate", "oracle"):
+        config.two_j = ns.two_j
+        if config.two_j < 1:
+            raise ValueError("--two-j must be >= 1")
 
     if ns.command == "simulate":
         config.beta = ns.beta if ns.beta is not None else preset_beta
         if config.beta is None:
             raise ValueError("--beta is required for non-preset circuits")
-        config.two_j = ns.two_j
         config.n_steps = ns.n_steps
         config.sampling_rule = ns.sampling
         config.exp_method = ns.exp_method
@@ -214,10 +219,6 @@ def _config_from_namespace(ns):
         config.omega_sign = ns.omega_sign
         if not 0 <= config.branch <= config.two_j:
             raise ValueError("--branch must lie in [0, two_j]")
-    elif ns.command == "oracle":
-        config.two_j = ns.two_j
-        if config.two_j < 1:
-            raise ValueError("--two-j must be >= 1")
     elif ns.command == "monopole":
         config.scene = geometry.MonopoleScene(
             strength_g=ns.strength, string_thickness=ns.string_thickness

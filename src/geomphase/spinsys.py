@@ -19,13 +19,13 @@ Spin states are plain complex numpy vectors of length two_j + 1 with unit
 Euclidean norm; no wrapper class is used.
 
 Propagation multiplies n_steps short-time unitaries U_k = exp(-i H(t_k) dt)
-in time order.  For two_j = 1 each U_k comes from the closed-form axis-angle
-expression; for higher spins the default path exploits that H(t) is always
-in the su(2) algebra spanned by (Sx, Sy, Sz): the ordered 2x2 product is
-computed first and then lifted to dimension two_j + 1 through the spin-J
-group homomorphism, which equals the dimension-N step product exactly.
-Per-step eigendecomposition and a scaled Taylor series are available as
-independent alternatives.
+in time order.  H(t) lies in su(2), so by default each step is the unit
+quaternion (cos phi, sin phi * n) of its spin-1/2 image, reduced pairwise
+with the quaternion product in chunks of CHUNK_STEPS that multiply a running
+product: memory stays bounded for any n_steps.  The final quaternion is the
+2x2 propagator, and its angle and axis give the spin-J lift, which equals
+the dimension-N step product exactly.  Per-step eigendecomposition and a
+scaled Taylor series of the dense Hamiltonian are independent alternatives.
 """
 
 from dataclasses import dataclass
@@ -39,6 +39,8 @@ T_TOTAL = np.pi
 
 SAMPLING_RULES = ("left_endpoint", "midpoint")
 EXP_METHODS = ("auto", "exact_2x2", "eigendecomposition", "scaled_series")
+# Steps per chunk of the default product: the chunk's quaternions take 1 MiB.
+CHUNK_STEPS = 2 ** 15
 
 
 class ArmSense(IntEnum):
@@ -201,7 +203,10 @@ def step_unitary(H, dt, method="auto"):
     if method == "exact_2x2":
         if n != 2:
             raise ValueError("exact_2x2 requires a 2x2 Hamiltonian")
-        return _expi_2x2_batch(H[np.newaxis], dt)[0]
+        # H = a0 + v . sigma with the trace phase a0 split off
+        a0 = 0.5 * (H[0, 0] + H[1, 1]).real
+        v = (H[1, 0].real, H[1, 0].imag, 0.5 * (H[0, 0] - H[1, 1]).real)
+        return np.exp(-1j * a0 * dt) * _su2_matrix(_su2_steps(*v, dt))
     if method == "eigendecomposition":
         w, v = np.linalg.eigh(H)
         return (v * np.exp(-1j * w * dt)) @ v.conj().T
@@ -210,27 +215,28 @@ def step_unitary(H, dt, method="auto"):
     raise ValueError(f"unknown exp method {method!r}")
 
 
-def _expi_2x2_batch(H, dt):
-    """exp(-i H dt) for a stack of 2x2 Hermitian matrices, closed form."""
-    a0 = 0.5 * (H[:, 0, 0] + H[:, 1, 1]).real
-    vz = 0.5 * (H[:, 0, 0] - H[:, 1, 1]).real
-    vx = H[:, 1, 0].real
-    vy = H[:, 1, 0].imag
+def _su2_steps(vx, vy, vz, dt):
+    """Quaternions (cos phi, sin phi v/|v|), phi = |v| dt, of exp(-i dt v.sigma)."""
     norm = np.sqrt(vx * vx + vy * vy + vz * vz)
     phi = norm * dt
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nx = np.where(norm > 0.0, vx / norm, 0.0)
-        ny = np.where(norm > 0.0, vy / norm, 0.0)
-        nz = np.where(norm > 0.0, vz / norm, 0.0)
-    c = np.cos(phi)
-    s = np.sin(phi)
-    U = np.empty(H.shape, dtype=complex)
-    U[:, 0, 0] = c - 1j * s * nz
-    U[:, 0, 1] = -1j * s * (nx - 1j * ny)
-    U[:, 1, 0] = -1j * s * (nx + 1j * ny)
-    U[:, 1, 1] = c + 1j * s * nz
-    U *= np.exp(-1j * a0 * dt)[:, None, None]
-    return U
+    k = np.divide(np.sin(phi), norm, out=np.zeros_like(norm), where=norm > 0.0)
+    return np.array([np.cos(phi), k * vx, k * vy, k * vz])
+
+
+def _su2_matrix(q):
+    """The 2x2 matrix q0 - i (q1 sigma_x + q2 sigma_y + q3 sigma_z)."""
+    q0, q1, q2, q3 = q
+    return np.array([[q0 - 1j * q3, -q2 - 1j * q1], [q2 - 1j * q1, q0 + 1j * q3]])
+
+
+def _quat_mul(a, b):
+    """Quaternion product of (4, ...) arrays, the later factor a on the left."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.array([a0 * b0 - (a1 * b1 + a2 * b2 + a3 * b3),
+                     a0 * b1 + b0 * a1 + (a2 * b3 - a3 * b2),
+                     a0 * b2 + b0 * a2 + (a3 * b1 - a1 * b3),
+                     a0 * b3 + b0 * a3 + (a1 * b2 - a2 * b1)])
 
 
 def _expi_taylor_batch(H, dt):
@@ -271,54 +277,50 @@ def _ordered_product(mats):
     return mats[0]
 
 
-def _step_times(settings):
-    dt = settings.dt
-    k = np.arange(settings.n_steps, dtype=float)
+def _ordered_su2(q):
+    """Time-ordered product of the quaternion columns q[:, -1] ... q[:, 0]."""
+    while q.shape[1] > 1:
+        m = q.shape[1]
+        paired = _quat_mul(q[:, 1 : m - m % 2 : 2], q[:, 0 : m - m % 2 : 2])
+        q = np.concatenate([paired, q[:, -1:]], axis=1) if m % 2 else paired
+    return q[:, 0]
+
+
+def _step_times(settings, start, stop):
+    k = np.arange(start, stop, dtype=float)
     if settings.sampling_rule == "midpoint":
-        return (k + 0.5) * dt
-    return k * dt
+        k += 0.5
+    return k * settings.dt
 
 
-def _total_unitary_2x2(params, arm, settings):
-    ts = _step_times(settings)
-    cx, cy, cz = _field_coefficients(params, ts, arm)
-    H = np.empty((settings.n_steps, 2, 2), dtype=complex)
-    H[:, 0, 0] = 0.5 * cz
-    H[:, 1, 1] = -0.5 * cz
-    H[:, 0, 1] = 0.5 * (cx - 1j * cy)
-    H[:, 1, 0] = 0.5 * (cx + 1j * cy)
-    return _ordered_product(_expi_2x2_batch(H, settings.dt))
+def _total_su2(params, arm, settings):
+    """Ordered spin-1/2 step product as a quaternion; H = c . S, S = sigma/2."""
+    total = np.array([1.0, 0.0, 0.0, 0.0])
+    for start in range(0, settings.n_steps, CHUNK_STEPS):
+        ts = _step_times(settings, start, min(start + CHUNK_STEPS, settings.n_steps))
+        steps = _su2_steps(*_field_coefficients(params, ts, arm), 0.5 * settings.dt)
+        total = _quat_mul(_ordered_su2(steps), total)
+    return total
 
 
-def _su2_axis_angle(U):
-    """Rotation angle and axis of a 2x2 special-unitary matrix."""
-    c = 0.5 * (U[0, 0] + U[1, 1]).real
-    vx = -0.5 * (U[0, 1] + U[1, 0]).imag
-    vy = -0.5 * (U[0, 1] - U[1, 0]).real
-    vz = -0.5 * (U[0, 0] - U[1, 1]).imag
-    s = np.sqrt(vx * vx + vy * vy + vz * vz)
-    phi = 2.0 * np.arctan2(s, c)
-    if s == 0.0:
-        return phi, np.array([0.0, 0.0, 1.0])
-    return phi, np.array([vx, vy, vz]) / s
+def _lift_su2(q, two_j):
+    """Spin-J image exp(-i phi axis . S) of q = (cos(phi/2), sin(phi/2) axis).
 
-
-def _lift_su2(U2, two_j):
-    """Spin-J image of a 2x2 special-unitary matrix.
-
-    The map is the irreducible-representation homomorphism, so the lift of
-    an ordered product equals the ordered product of the lifts.
+    The map is a group homomorphism, so the lift of an ordered product
+    equals the ordered product of the lifts.
     """
-    phi, axis = _su2_axis_angle(U2)
+    s = float(np.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
+    phi = 2.0 * np.arctan2(s, q[0])
     if phi == 0.0:
         return np.eye(two_j + 1, dtype=complex)
+    axis = q[1:] / s if s > 0.0 else (0.0, 0.0, 1.0)
     sx, sy, sz = spin_matrices(two_j)
     w, v = np.linalg.eigh(axis[0] * sx + axis[1] * sy + axis[2] * sz)
     return (v * np.exp(-1j * phi * w)) @ v.conj().T
 
 
 def _total_unitary_dense(params, arm, settings, method):
-    ts = _step_times(settings)
+    ts = _step_times(settings, 0, settings.n_steps)
     sx, sy, sz = spin_matrices(params.two_j)
     cx, cy, cz = _field_coefficients(params, ts, arm)
     H = (
@@ -340,16 +342,10 @@ def total_unitary(params, arm, settings=PropagationSettings()):
     method = settings.exp_method
     if method == "exact_2x2" and params.two_j != 1:
         raise ValueError("exact_2x2 is only available for two_j = 1")
-    if method in ("auto", "exact_2x2"):
-        U2 = _total_unitary_2x2(
-            FieldParams(params.b1, params.bz, params.beta, 1, params.omega_sign),
-            arm,
-            settings,
-        )
-        if params.two_j == 1:
-            return U2
-        return _lift_su2(U2, params.two_j)
-    return _total_unitary_dense(params, arm, settings, method)
+    if method not in ("auto", "exact_2x2"):
+        return _total_unitary_dense(params, arm, settings, method)
+    q = _total_su2(params, arm, settings)
+    return _su2_matrix(q) if params.two_j == 1 else _lift_su2(q, params.two_j)
 
 
 def evolve_arm(params, arm, settings=PropagationSettings(), branch=0):

@@ -1,6 +1,7 @@
 """Command-line parsing, file output and exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -293,12 +294,27 @@ class TestRun:
         (["simulate", "--circuit", "spqrs", "--two-j", "0"], "out.csv"),
         # checked before any work, not at the write after the full compute
         (["simulate", "--circuit", "spqrs"], "missing/out.csv"),
+        (["simulate", "--circuit", "spqrs"], "existing_dir"),
     ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else v)
     def test_invalid_input_exits_2_without_output(self, argv, out_name, tmp_path,
                                                   capsys):
         out = tmp_path / out_name
+        if out_name == "existing_dir":
+            out.mkdir()
         assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("geomphase: error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("geomphase: error: ")
+        if out_name == "existing_dir":
+            assert "--out names a directory" in err  # not [Errno 21] at the write
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    def test_negative_two_j_names_the_flag(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "--circuit", "spqrs", "--two-j", "-1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "geomphase: error: --two-j must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -353,7 +369,10 @@ class TestRegressionFixture:
         """Guards both the numerics and the file format against drift.
 
         Values are compared parsed (not byte for byte) so ulp-level libm
-        differences between platforms do not matter.
+        differences between platforms do not matter.  alpha_wrapped is
+        compared modulo 2*pi: on the bz = 0 mirror line the overlap is real
+        and negative, so the sign of pi there is the sign of a rounding-level
+        imaginary part.
         """
         out = tmp_path / "regen.csv"
         main(["simulate", "--circuit", "spqrs", "--points-per-segment", "10",
@@ -362,8 +381,12 @@ class TestRegressionFixture:
         fresh = out.read_text().splitlines()
         assert fresh[0] == frozen[0]
         assert len(fresh) == len(frozen)
+        wrapped = frozen[0].split(",").index("alpha_wrapped")
         for row_fresh, row_frozen in zip(fresh[1:], frozen[1:]):
             cf, cz = row_fresh.split(","), row_frozen.split(",")
             assert cf[0] == cz[0]
-            for a, b in zip(cf[1:], cz[1:]):
-                assert abs(float(a) - float(b)) < 1e-12
+            for k in range(1, len(cz)):
+                diff = float(cf[k]) - float(cz[k])
+                if k == wrapped:
+                    diff = math.remainder(diff, 2.0 * math.pi)
+                assert abs(diff) < 1e-12

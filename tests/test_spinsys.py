@@ -1,5 +1,6 @@
 """Spin operators, Hamiltonian construction and arm propagation."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from geomphase import (
     step_unitary,
     total_unitary,
 )
+from geomphase.spinsys import CHUNK_STEPS, SAMPLING_RULES
 
 SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -319,6 +321,37 @@ class TestEvolveArm:
         _, a = evolve_arm(params_pos, ArmSense.PLUS, PropagationSettings(300))
         _, b = evolve_arm(params_neg, ArmSense.MINUS, PropagationSettings(300))
         np.testing.assert_allclose(a, b, atol=1e-14)
+
+
+class TestQuaternionKernel:
+    """The default path: chunked products of SU(2) quaternions."""
+
+    @pytest.mark.parametrize("n_steps", [
+        1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 7,
+    ])
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 4])
+    def test_matches_eigendecomposition_across_chunk_edges(self, two_j, n_steps):
+        # The deviation, up to 4.5e-13 here, is mostly the dense product's
+        # rounding: its unitarity drifts by ~1e-12 over 65k steps at two_j = 4.
+        params = FieldParams(-0.3, -0.8, 7.5, two_j=two_j)
+        for rule in SAMPLING_RULES:
+            for arm in ArmSense:
+                default = total_unitary(params, arm, PropagationSettings(n_steps, rule))
+                dense = total_unitary(
+                    params, arm,
+                    PropagationSettings(n_steps, rule, exp_method="eigendecomposition"),
+                )
+                assert np.max(np.abs(default - dense)) < 1e-12, (rule, arm)
+
+    def test_memory_bounded_for_long_cycles(self):
+        params = FieldParams(0.7, 0.4, 3.0, two_j=3)
+        tracemalloc.start()
+        try:
+            total_unitary(params, ArmSense.PLUS, PropagationSettings(2_000_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestPropagationInvariants:
