@@ -135,8 +135,9 @@ def _distance_to_singularities(b1, bz):
 def _arm_states(point, beta, two_j, omega_sign, settings, branch):
     """Final states of the PLUS and MINUS arms at one parameter point."""
     params = spinsys.FieldParams(point[0], point[1], beta, two_j, omega_sign)
+    psi0 = spinsys.initial_state(params, branch)
     return [
-        spinsys.evolve_arm(params, arm, settings, branch)[1]
+        spinsys.total_unitary(params, arm, settings) @ psi0
         for arm in (spinsys.ArmSense.PLUS, spinsys.ArmSense.MINUS)
     ]
 

@@ -68,6 +68,11 @@ def circuit_to_json(circuit):
     ) + "\n"
 
 
+def _is_number(x):
+    """A JSON number: json.loads gives int or float; bool is an int subclass."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def circuit_from_json(text):
     """Parse the strict circuit schema; unknown keys are rejected."""
     data = json.loads(text)
@@ -81,11 +86,12 @@ def circuit_from_json(text):
         raise ValueError("circuit JSON lacks 'vertices'")
     vertices = data["vertices"]
     if not isinstance(vertices, list) or any(
-        not isinstance(v, list) or len(v) != 2 for v in vertices
+        not isinstance(v, list) or len(v) != 2 or not all(map(_is_number, v))
+        for v in vertices
     ):
-        raise ValueError("'vertices' must be a list of [b1, bz] pairs")
+        raise ValueError("'vertices' must be a list of [b1, bz] number pairs")
     pps = data.get("points_per_segment", 100)
-    if not isinstance(pps, int):
+    if isinstance(pps, bool) or not isinstance(pps, int):
         raise ValueError("'points_per_segment' must be an integer")
     return circuits.Circuit(tuple((v[0], v[1]) for v in vertices), pps)
 

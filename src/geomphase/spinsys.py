@@ -19,15 +19,18 @@ Spin states are plain complex numpy vectors of length two_j + 1 with unit
 Euclidean norm; no wrapper class is used.
 
 Propagation multiplies n_steps short-time unitaries U_k = exp(-i H(t_k) dt)
-in time order.  H(t) lies in su(2), so by default each step is the unit
-quaternion (cos phi, sin phi * n) of its spin-1/2 image, reduced pairwise
-with the quaternion product in chunks of CHUNK_STEPS that multiply a running
-product: memory stays bounded for any n_steps.  The final quaternion is the
-2x2 propagator, and its angle and axis give the spin-J lift, which equals
-the dimension-N step product exactly.  Per-step eigendecomposition and a
-scaled Taylor series of the dense Hamiltonian are independent alternatives.
+in time order.  H(t) lies in su(2), so by default each step is the
+Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]], reduced
+pairwise in chunks of CHUNK_STEPS that multiply a running pair: memory stays
+bounded for any n_steps.  e^{-i t_k} over one chunk is cached per grid, and
+a chunk's arm-independent factors are kept for the point's other arm.  The
+final pair is the 2x2 propagator; its spin-J lift equals the dimension-N
+step product exactly.  Per-step eigendecomposition and a scaled Taylor
+series of the dense Hamiltonian are independent alternatives.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -39,7 +42,7 @@ T_TOTAL = np.pi
 
 SAMPLING_RULES = ("left_endpoint", "midpoint")
 EXP_METHODS = ("auto", "exact_2x2", "eigendecomposition", "scaled_series")
-# Steps per chunk of the default product: the chunk's quaternions take 1 MiB.
+# Steps per chunk of the default product: the chunk's step grid takes 0.5 MiB.
 CHUNK_STEPS = 2 ** 15
 
 
@@ -73,6 +76,11 @@ class FieldParams:
             )
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
+        # the square bounds |v|^2 and every other intermediate of propagation
+        scale = 2.0 * float(self.beta) * (abs(float(self.b1)) + 1 + abs(float(self.bz)))
+        if not math.isfinite(scale * scale):
+            raise ValueError(f"beta={self.beta} is too large for b1={self.b1}, "
+                             f"bz={self.bz}: (2*beta*(|b1|+1+|bz|))**2 overflows")
         if int(self.two_j) != self.two_j or self.two_j < 1:
             raise ValueError(f"two_j must be a positive integer, got {self.two_j}")
         if self.omega_sign not in (1, -1):
@@ -205,8 +213,9 @@ def step_unitary(H, dt, method="auto"):
             raise ValueError("exact_2x2 requires a 2x2 Hamiltonian")
         # H = a0 + v . sigma with the trace phase a0 split off
         a0 = 0.5 * (H[0, 0] + H[1, 1]).real
-        v = (H[1, 0].real, H[1, 0].imag, 0.5 * (H[0, 0] - H[1, 1]).real)
-        return np.exp(-1j * a0 * dt) * _su2_matrix(_su2_steps(*v, dt))
+        w = np.array([np.conj(H[1, 0])])
+        a, b = _ck_steps(w, 0.5 * (H[0, 0] - H[1, 1]).real, dt)
+        return np.exp(-1j * a0 * dt) * _ck_matrix(a[0], b[0])
     if method == "eigendecomposition":
         w, v = np.linalg.eigh(H)
         return (v * np.exp(-1j * w * dt)) @ v.conj().T
@@ -215,28 +224,27 @@ def step_unitary(H, dt, method="auto"):
     raise ValueError(f"unknown exp method {method!r}")
 
 
-def _su2_steps(vx, vy, vz, dt):
-    """Quaternions (cos phi, sin phi v/|v|), phi = |v| dt, of exp(-i dt v.sigma)."""
-    norm = np.sqrt(vx * vx + vy * vy + vz * vz)
-    phi = norm * dt
-    k = np.divide(np.sin(phi), norm, out=np.zeros_like(norm), where=norm > 0.0)
-    return np.array([np.cos(phi), k * vx, k * vy, k * vz])
+def _ck_steps(w, vz, h):
+    """Pairs (a, b) = (cos phi - i k vz, -i k w) of exp(-i h v.sigma), where
+    w = vx - i vy, phi = |v| h and k = sin(phi)/|v|; b overwrites w.  |v| is
+    built from w: expanded in the field parameters it cancels near B = 0."""
+    norm = w.real * w.real + w.imag * w.imag
+    norm += vz * vz
+    np.sqrt(norm, out=norm)
+    phi = norm * h
+    k = np.sin(phi)
+    np.divide(k, norm, out=k, where=norm > 0.0)
+    a = np.empty_like(w)
+    np.cos(phi, out=a.real)
+    np.multiply(k, -vz, out=a.imag)
+    w *= k
+    w *= -1j
+    return a, w
 
 
-def _su2_matrix(q):
-    """The 2x2 matrix q0 - i (q1 sigma_x + q2 sigma_y + q3 sigma_z)."""
-    q0, q1, q2, q3 = q
-    return np.array([[q0 - 1j * q3, -q2 - 1j * q1], [q2 - 1j * q1, q0 + 1j * q3]])
-
-
-def _quat_mul(a, b):
-    """Quaternion product of (4, ...) arrays, the later factor a on the left."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.array([a0 * b0 - (a1 * b1 + a2 * b2 + a3 * b3),
-                     a0 * b1 + b0 * a1 + (a2 * b3 - a3 * b2),
-                     a0 * b2 + b0 * a2 + (a3 * b1 - a1 * b3),
-                     a0 * b3 + b0 * a3 + (a1 * b2 - a2 * b1)])
+def _ck_matrix(a, b):
+    """The SU(2) matrix [[a, b], [-b*, a*]]."""
+    return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 
 def _expi_taylor_batch(H, dt):
@@ -277,13 +285,23 @@ def _ordered_product(mats):
     return mats[0]
 
 
-def _ordered_su2(q):
-    """Time-ordered product of the quaternion columns q[:, -1] ... q[:, 0]."""
-    while q.shape[1] > 1:
-        m = q.shape[1]
-        paired = _quat_mul(q[:, 1 : m - m % 2 : 2], q[:, 0 : m - m % 2 : 2])
-        q = np.concatenate([paired, q[:, -1:]], axis=1) if m % 2 else paired
-    return q[:, 0]
+def _ordered_ck(a, b):
+    """Time-ordered product of the pairs (a, b)[-1] ... (a, b)[0], reduced
+    pairwise: (a2 a1 - b2 b1*, a2 b1 + b2 a1*), the later factor on the left."""
+    while a.size > 1:
+        m = a.size
+        a1, b1 = a[0 : m - m % 2 : 2], b[0 : m - m % 2 : 2]
+        a2, b2 = a[1 : m - m % 2 : 2], b[1 : m - m % 2 : 2]
+        tmp = np.conjugate(b1)
+        pa = a2 * a1
+        pa -= np.multiply(tmp, b2, out=tmp)
+        np.conjugate(a1, out=tmp)
+        pb = a2 * b1
+        pb += np.multiply(tmp, b2, out=tmp)
+        if m % 2:
+            pa, pb = np.append(pa, a[-1]), np.append(pb, b[-1])
+        a, b = pa, pb
+    return a[0], b[0]
 
 
 def _step_times(settings, start, stop):
@@ -293,22 +311,49 @@ def _step_times(settings, start, stop):
     return k * settings.dt
 
 
-def _total_su2(params, arm, settings):
-    """Ordered spin-1/2 step product as a quaternion; H = c . S, S = sigma/2."""
-    total = np.array([1.0, 0.0, 0.0, 0.0])
+@functools.lru_cache(maxsize=1)
+def _step_grid(n_steps, sampling_rule):
+    """Read-only e^{-i t_k} over the first chunk of the step grid."""
+    settings = PropagationSettings(n_steps, sampling_rule)
+    grid = np.exp(-1j * _step_times(settings, 0, min(n_steps, CHUNK_STEPS)))
+    grid.flags.writeable = False
+    return grid
+
+
+# Read-only, arm-independent step pairs of the last chunk, keyed by the bits of
+# (b1, bz, beta), the grid and the chunk start: a point's second arm reuses them.
+_last_chunk = {}
+
+
+def _total_ck(params, arm, settings):
+    """Ordered spin-1/2 step product as a pair (a, b); H = c . S, S = sigma/2."""
+    total = (1.0 + 0.0j, 0.0j)
+    bits = np.array([params.b1, params.bz, params.beta]).tobytes()
     for start in range(0, settings.n_steps, CHUNK_STEPS):
-        ts = _step_times(settings, start, min(start + CHUNK_STEPS, settings.n_steps))
-        steps = _su2_steps(*_field_coefficients(params, ts, arm), 0.5 * settings.dt)
-        total = _quat_mul(_ordered_su2(steps), total)
+        key = (bits, settings.n_steps, settings.sampling_rule, start)
+        if key not in _last_chunk:
+            _last_chunk.clear()
+            c = 2.0 * params.beta
+            # w = c (b1 + e^{-i t}) = vx - i vy; later chunks rotate the grid
+            e = _step_grid(settings.n_steps, settings.sampling_rule)
+            w = (e[: settings.n_steps - start] * np.exp(-1j * start * settings.dt)
+                 + params.b1) * c
+            a, b = _last_chunk[key] = _ck_steps(w, c * params.bz, 0.5 * settings.dt)
+            a.flags.writeable = b.flags.writeable = False
+        a, b = _last_chunk[key]
+        if int(arm) * params.omega_sign < 0:  # y-component flips: (a, -b*)
+            b = -np.conjugate(b)
+        (a2, b2), (a1, b1) = _ordered_ck(a, b), total
+        total = (a2 * a1 - b2 * np.conj(b1), a2 * b1 + b2 * np.conj(a1))
     return total
 
 
-def _lift_su2(q, two_j):
-    """Spin-J image exp(-i phi axis . S) of q = (cos(phi/2), sin(phi/2) axis).
-
-    The map is a group homomorphism, so the lift of an ordered product
-    equals the ordered product of the lifts.
+def _lift_su2(a, b, two_j):
+    """Spin-J image exp(-i phi axis . S) of (a, b) = (cos(phi/2) - i sin(phi/2)
+    axis_z, -sin(phi/2) (axis_y + i axis_x)).  The map is a group homomorphism,
+    so the lift of an ordered product equals the ordered product of the lifts.
     """
+    q = np.array([a.real, -b.imag, -b.real, -a.imag])
     s = float(np.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
     phi = 2.0 * np.arctan2(s, q[0])
     if phi == 0.0:
@@ -344,8 +389,8 @@ def total_unitary(params, arm, settings=PropagationSettings()):
         raise ValueError("exact_2x2 is only available for two_j = 1")
     if method not in ("auto", "exact_2x2"):
         return _total_unitary_dense(params, arm, settings, method)
-    q = _total_su2(params, arm, settings)
-    return _su2_matrix(q) if params.two_j == 1 else _lift_su2(q, params.two_j)
+    a, b = _total_ck(params, arm, settings)
+    return _ck_matrix(a, b) if params.two_j == 1 else _lift_su2(a, b, params.two_j)
 
 
 def evolve_arm(params, arm, settings=PropagationSettings(), branch=0):

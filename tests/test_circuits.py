@@ -265,12 +265,15 @@ class TestSweep:
         # force truly orthogonal arm states to exercise the marker path
         from geomphase import circuits as circuits_mod
 
-        def fake_evolve(params, arm, settings, branch=0):
-            psi = np.zeros(2, dtype=complex)
-            psi[0 if int(arm) > 0 else 1] = 1.0
-            return np.eye(2, dtype=complex), psi
+        def fake_initial_state(params, branch=0):
+            return np.array([1.0, 0.0], dtype=complex)
 
-        monkeypatch.setattr(circuits_mod.spinsys, "evolve_arm", fake_evolve)
+        def fake_total_unitary(params, arm, settings):
+            # identity on the PLUS arm, sigma_x on the MINUS arm
+            return np.eye(2, dtype=complex)[:: int(arm)]
+
+        monkeypatch.setattr(circuits_mod.spinsys, "initial_state", fake_initial_state)
+        monkeypatch.setattr(circuits_mod.spinsys, "total_unitary", fake_total_unitary)
         result = sweep_plane(
             (0.0, 1.0), (0.0, 1.0), (2, 2), beta=1.0,
             settings=PropagationSettings(10),

@@ -288,9 +288,14 @@ class TestRun:
         (["sweep", *SMALL_SWEEP, "--steps", "0"], "out.csv"),
         (["sweep", *SMALL_SWEEP, "--nx", "1"], "out.csv"),
         (["sweep", *SMALL_SWEEP, "--b1-min", "nan"], "out.csv"),
+        # (2*beta*(|b1|+1+|bz|))**2 overflows: was NaN in every cell
+        (["sweep", *SMALL_SWEEP, "--beta", "1e308"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--beta", "1e160"], "out.csv"),
         (["simulate", "--circuit", "spqrs", "--steps", "0"], "out.csv"),
         (["simulate", "--circuit", "spqrs", "--beta", "nan"], "out.csv"),
         (["simulate", "--circuit", "spqrs", "--beta", "inf"], "out.csv"),
+        (["simulate", "--circuit", "spqrs", "--beta", "1e308"], "out.csv"),
+        (["simulate", "--circuit", "spqrs", "--beta", "1e160"], "out.csv"),
         (["simulate", "--circuit", "spqrs", "--two-j", "0"], "out.csv"),
         # checked before any work, not at the write after the full compute
         (["simulate", "--circuit", "spqrs"], "missing/out.csv"),
@@ -308,6 +313,21 @@ class TestRun:
             assert "--out names a directory" in err  # not [Errno 21] at the write
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("points_per_segment", True),
+        ("vertices", [[True, 1.0], [1.5, 1.0], [1.5, -1.0], [0.5, -1.0]]),
+        ("vertices", [["0.5", 1.0], [1.5, 1.0], [1.5, -1.0], [0.5, -1.0]]),
+    ], ids=["pps-true", "vertex-true", "vertex-string"])
+    def test_non_numeric_circuit_json_exits_2(self, key, value, tmp_path, capsys):
+        # JSON true and "0.5" are not numbers, though int() and float()
+        # would take them
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps({**SMALL_CIRCUIT, key: value}))
+        out = tmp_path / "out.csv"
+        assert main(["oracle", "--circuit", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("geomphase: error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "oracle"])
     def test_negative_two_j_names_the_flag(self, command, tmp_path, capsys):

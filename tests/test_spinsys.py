@@ -20,6 +20,7 @@ from geomphase import (
     step_unitary,
     total_unitary,
 )
+from geomphase import spinsys
 from geomphase.spinsys import CHUNK_STEPS, SAMPLING_RULES
 
 SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -103,6 +104,21 @@ class TestFieldParams:
         for args in ((bad, 0.0, 1.0), (0.0, bad, 1.0), (0.0, 0.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 FieldParams(*args)
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 0.0, 1e308), (1.5, 0.01, 1e160), (1.5, 0.01, 4e153), (1e300, 0.0, 1e10),
+        (np.float64(1.5), np.float64(-0.01), 1e160),
+    ])
+    def test_rejects_overflowing_field_scale(self, args):
+        # (2*beta*(|b1|+1+|bz|))**2 bounds |v|^2 in the step kernel
+        with pytest.raises(ValueError, match="beta"):
+            FieldParams(*args)
+
+    def test_accepts_largest_field_scale_below_overflow(self):
+        params = FieldParams(1.5, -0.01, 1e150, two_j=2)
+        for arm in ArmSense:
+            U = total_unitary(params, arm, PropagationSettings(1000))
+            assert np.max(np.abs(U @ U.conj().T - np.eye(3))) < 1e-12
 
 
 class TestHamiltonian:
@@ -324,7 +340,11 @@ class TestEvolveArm:
 
 
 class TestQuaternionKernel:
-    """The default path: chunked products of SU(2) quaternions."""
+    """The default path: chunked products of SU(2) elements.
+
+    Each element is held as its Cayley-Klein pair (a, b), the complex form
+    a + b j of a unit quaternion.
+    """
 
     @pytest.mark.parametrize("n_steps", [
         1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 7,
@@ -342,6 +362,67 @@ class TestQuaternionKernel:
                     PropagationSettings(n_steps, rule, exp_method="eigendecomposition"),
                 )
                 assert np.max(np.abs(default - dense)) < 1e-12, (rule, arm)
+
+    @pytest.mark.parametrize("n_steps", [CHUNK_STEPS - 1, CHUNK_STEPS + 1])
+    @pytest.mark.parametrize("two_j", [1, 2])
+    def test_negative_omega_sign_matches_eigendecomposition(self, two_j, n_steps):
+        params = FieldParams(-0.3, -0.8, 7.5, two_j=two_j, omega_sign=-1)
+        for rule in SAMPLING_RULES:
+            for arm in ArmSense:
+                default = total_unitary(params, arm, PropagationSettings(n_steps, rule))
+                dense = total_unitary(
+                    params, arm,
+                    PropagationSettings(n_steps, rule, exp_method="eigendecomposition"),
+                )
+                assert np.max(np.abs(default - dense)) < 1e-12, (rule, arm)
+
+    @pytest.mark.parametrize("two_j", [1, 3])
+    def test_history_independent(self, two_j):
+        # The arms of one point share cached step factors; what ran before
+        # must not change a single bit of either arm's propagator.
+        params = FieldParams(1.5, -0.0, 20.0, two_j=two_j)
+        settings = PropagationSettings(500)
+        for arm in ArmSense:
+            spinsys._step_grid.cache_clear()
+            spinsys._last_chunk.clear()
+            expected = total_unitary(params, arm, settings).tobytes()
+            before = {
+                "nothing cached": lambda: None,
+                "the other arm": lambda: total_unitary(params, -arm, settings),
+                "bz = +0.0": lambda: total_unitary(
+                    replace(params, bz=0.0), arm, settings),
+                "another point": lambda: total_unitary(
+                    replace(params, bz=0.01), -arm, settings),
+                "another grid": lambda: total_unitary(
+                    params, arm, PropagationSettings(500, "midpoint")),
+            }
+            for what, call in before.items():
+                spinsys._last_chunk.clear()
+                call()
+                assert total_unitary(params, arm, settings).tobytes() == expected, (
+                    arm, what)
+
+    # (b1, bz, c) from rows 126-158, 74 and 234 of
+    # perfbench/reference/abcda.csv, the benchmark's frozen `simulate abcda`
+    # output: beta = 2000, 20000 steps
+    @pytest.mark.parametrize("b1, bz, c", [
+        (1.5, 4.7999999999999996e-03, 1.9999989287917055e+00),
+        (1.5, 3.1999999999999997e-03, 1.9999989328122496e+00),
+        (1.5, 1.6000000000000007e-03, 1.9999989353314325e+00),
+        (1.5, 0.0, 1.9999989361872101e+00),
+        (1.5, -1.5999999999999990e-03, 1.9999989353314296e+00),
+        (1.24, 1.0e-02, 1.9999815875676812e+00),
+        (1.1599999999999999, -1.0e-02, 1.9999056743420391e+00),
+    ])
+    def test_contrast_near_degeneracy_matches_frozen_reference(self, b1, bz, c):
+        # Guards the precision of |v|.  Taking |v| = 2 beta sqrt(S) of the
+        # unscaled field moves the contrast by ~1e-12 at b1 = 1.5; expanding
+        # |v|^2 in (b1, bz, cos t) cancels nearer the degeneracy, at
+        # b1 = 1.16-1.24.
+        params = FieldParams(b1, bz, 2000.0)
+        _, psi_plus = evolve_arm(params, ArmSense.PLUS)
+        _, psi_minus = evolve_arm(params, ArmSense.MINUS)
+        assert abs(2.0 * abs(np.vdot(psi_minus, psi_plus)) - c) < 1e-12
 
     def test_memory_bounded_for_long_cycles(self):
         params = FieldParams(0.7, 0.4, 3.0, two_j=3)
