@@ -9,9 +9,9 @@ Four commands share one executable:
 
 Output files are byte-deterministic for a given configuration: CSV floats
 are written in scientific notation with 17 significant digits and JSON uses
-a fixed layout.  Exit codes: 0 success, 2 invalid input, 3 numerical
-failure (orthogonal states at a sample, non-quantized winding, refinement
-depth exceeded, degenerate geometry).
+a fixed layout.  Exit codes: 0 success, 2 invalid input (or an allocation
+too large to make), 3 numerical failure (orthogonal states at a sample,
+non-quantized winding, refinement depth exceeded, degenerate geometry).
 """
 
 import argparse
@@ -297,7 +297,7 @@ def run(config):
         where = f" sample={index}" if index is not None else ""
         print(f"{kind}:{where} {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(_error_line(exc))
         return 2
 

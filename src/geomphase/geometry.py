@@ -74,6 +74,9 @@ class MonopoleScene:
         if not all(map(math.isfinite, (self.strength_g, self.string_thickness))):
             raise ValueError("strength_g and string_thickness must be finite")
         doubled = 2.0 * self.strength_g
+        if not math.isfinite(doubled):
+            raise ValueError(f"strength_g={self.strength_g} is too large: "
+                             f"2*strength_g overflows")
         if abs(doubled - round(doubled)) > 1e-9 or round(doubled) == 0:
             raise ValueError(
                 f"strength_g must be a nonzero half-integer, got {self.strength_g}"

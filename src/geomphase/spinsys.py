@@ -19,14 +19,15 @@ Spin states are plain complex numpy vectors of length two_j + 1 with unit
 Euclidean norm; no wrapper class is used.
 
 Propagation multiplies n_steps short-time unitaries U_k = exp(-i H(t_k) dt)
-in time order.  H(t) lies in su(2), so by default each step is the
-Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]], reduced
-pairwise in chunks of CHUNK_STEPS that multiply a running pair: memory stays
-bounded for any n_steps.  e^{-i t_k} over one chunk is cached per grid, and
-a chunk's arm-independent factors are kept for the point's other arm.  The
+in time order.  One chunk loop serves every exp_method: the steps of each
+chunk of CHUNK_STEPS are reduced pairwise and multiply a running product,
+so memory stays bounded for any n_steps.  H(t) lies in su(2), so by default
+("auto") each step is the Cayley-Klein pair (a, b) of its spin-1/2 image
+[[a, b], [-b*, a*]].  e^{-i t_k} over one chunk is cached per grid, and a
+chunk's arm-independent factors are kept for the point's other arm.  The
 final pair is the 2x2 propagator; its spin-J lift equals the dimension-N
-step product exactly.  Per-step eigendecomposition and a scaled Taylor
-series of the dense Hamiltonian are independent alternatives.
+step product exactly.  "eigendecomposition" exponentiates the dense
+spin-J Hamiltonian at each step instead, an independent check.
 """
 
 import functools
@@ -41,8 +42,8 @@ from .errors import DegenerateStart, NonHermitianInput
 T_TOTAL = np.pi
 
 SAMPLING_RULES = ("left_endpoint", "midpoint")
-EXP_METHODS = ("auto", "exact_2x2", "eigendecomposition", "scaled_series")
-# Steps per chunk of the default product: the chunk's step grid takes 0.5 MiB.
+EXP_METHODS = ("auto", "eigendecomposition")
+# Steps per chunk of every exp_method; the default path's step grid takes 0.5 MiB.
 CHUNK_STEPS = 2 ** 15
 
 
@@ -197,9 +198,9 @@ def _check_hermitian(H):
 def step_unitary(H, dt, method="auto"):
     """Short-time propagator U = exp(-i H dt) for a Hermitian H.
 
-    method "auto" uses the closed-form axis-angle expression in dimension 2
-    and an eigendecomposition otherwise; "scaled_series" runs a
-    scaling-and-squaring Taylor sum (relative accuracy ~1e-12 or better).
+    method "exact_2x2" is the closed-form Cayley-Klein expression, which
+    needs dimension 2, and "eigendecomposition" works in any dimension;
+    "auto" picks the first in dimension 2 and the second otherwise.
     """
     H = np.asarray(H, dtype=complex)
     if dt <= 0:
@@ -219,8 +220,6 @@ def step_unitary(H, dt, method="auto"):
     if method == "eigendecomposition":
         w, v = np.linalg.eigh(H)
         return (v * np.exp(-1j * w * dt)) @ v.conj().T
-    if method == "scaled_series":
-        return _expi_taylor_batch(H[np.newaxis], dt)[0]
     raise ValueError(f"unknown exp method {method!r}")
 
 
@@ -247,61 +246,48 @@ def _ck_matrix(a, b):
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 
-def _expi_taylor_batch(H, dt):
-    """exp(-i H dt) for a stack of matrices via scaling and squaring.
-
-    The Taylor order is chosen from the scaled norm so the truncation error
-    stays below ~1e-16 relative; squaring restores the full step.
-    """
-    A = (-1j * dt) * H
-    n = A.shape[-1]
-    nrm = float(np.max(np.sum(np.abs(A), axis=-1)))
-    k = 0
-    if nrm > 0.5:
-        k = int(np.ceil(np.log2(nrm / 0.5)))
-        A = A / (2.0 ** k)
-        nrm = 0.5
-    # smallest m with nrm^(m+1)/(m+1)! below double rounding
-    m, bound = 1, nrm
-    while bound > 1e-17 and m < 30:
-        m += 1
-        bound *= nrm / m
-    eye = np.broadcast_to(np.eye(n, dtype=complex), A.shape)
-    U = eye + A / m
-    for i in range(m - 1, 0, -1):
-        U = eye + np.matmul(A, U) / i
-    for _ in range(k):
-        U = np.matmul(U, U)
-    return U
+def _mul_ck(later, earlier):
+    """Pair product (a2 a1 - b2 b1*, a2 b1 + b2 a1*), the later factor on the
+    left.  `*=` works in place on arrays and rebinds numpy scalars, such as
+    the running total: those keep scalar arithmetic, which rounds some
+    products differently from the array loop."""
+    (a2, b2), (a1, b1) = later, earlier
+    tmp = np.conjugate(b1)
+    pa = a2 * a1
+    tmp *= b2
+    pa -= tmp
+    tmp = np.conjugate(a1)
+    pb = a2 * b1
+    tmp *= b2
+    pb += tmp
+    return pa, pb
 
 
-def _ordered_product(mats):
-    """Time-ordered product mats[-1] @ ... @ mats[0] via pairwise reduction."""
-    while mats.shape[0] > 1:
-        m = mats.shape[0]
-        half = m // 2
-        paired = np.matmul(mats[1 : 2 * half : 2], mats[0 : 2 * half : 2])
-        mats = np.concatenate([paired, mats[-1:]], axis=0) if m % 2 else paired
-    return mats[0]
+def _mul_dense(later, earlier):
+    return (np.matmul(later[0], earlier[0]),)
 
 
-def _ordered_ck(a, b):
-    """Time-ordered product of the pairs (a, b)[-1] ... (a, b)[0], reduced
-    pairwise: (a2 a1 - b2 b1*, a2 b1 + b2 a1*), the later factor on the left."""
-    while a.size > 1:
-        m = a.size
-        a1, b1 = a[0 : m - m % 2 : 2], b[0 : m - m % 2 : 2]
-        a2, b2 = a[1 : m - m % 2 : 2], b[1 : m - m % 2 : 2]
-        tmp = np.conjugate(b1)
-        pa = a2 * a1
-        pa -= np.multiply(tmp, b2, out=tmp)
-        np.conjugate(a1, out=tmp)
-        pb = a2 * b1
-        pb += np.multiply(tmp, b2, out=tmp)
+def _ordered(steps, mul):
+    """Time-ordered product of the stacks in the tuple steps, which share
+    axis 0, reduced pairwise by mul(later, earlier)."""
+    while len(steps[0]) > 1:
+        m = len(steps[0])
+        even = m - m % 2
+        paired = mul(tuple(x[1:even:2] for x in steps),
+                     tuple(x[0:even:2] for x in steps))
         if m % 2:
-            pa, pb = np.append(pa, a[-1]), np.append(pb, b[-1])
-        a, b = pa, pb
-    return a[0], b[0]
+            paired = tuple(np.concatenate((p, x[-1:])) for p, x in zip(paired, steps))
+        steps = paired
+    return tuple(x[0] for x in steps)
+
+
+def _chunked(settings, chunk, mul, total):
+    """Multiply the ordered product of chunk(start, stop), for each chunk of
+    CHUNK_STEPS steps in time order, onto the running product total."""
+    for start in range(0, settings.n_steps, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, settings.n_steps)
+        total = mul(_ordered(chunk(start, stop), mul), total)
+    return total
 
 
 def _step_times(settings, start, stop):
@@ -327,25 +313,28 @@ _last_chunk = {}
 
 def _total_ck(params, arm, settings):
     """Ordered spin-1/2 step product as a pair (a, b); H = c . S, S = sigma/2."""
-    total = (1.0 + 0.0j, 0.0j)
     bits = np.array([params.b1, params.bz, params.beta]).tobytes()
-    for start in range(0, settings.n_steps, CHUNK_STEPS):
+
+    def chunk(start, stop):
         key = (bits, settings.n_steps, settings.sampling_rule, start)
         if key not in _last_chunk:
-            _last_chunk.clear()
             c = 2.0 * params.beta
             # w = c (b1 + e^{-i t}) = vx - i vy; later chunks rotate the grid
             e = _step_grid(settings.n_steps, settings.sampling_rule)
-            w = (e[: settings.n_steps - start] * np.exp(-1j * start * settings.dt)
+            w = (e[: stop - start] * np.exp(-1j * start * settings.dt)
                  + params.b1) * c
-            a, b = _last_chunk[key] = _ck_steps(w, c * params.bz, 0.5 * settings.dt)
+            a, b = _ck_steps(w, c * params.bz, 0.5 * settings.dt)
             a.flags.writeable = b.flags.writeable = False
+            # dropped only now: freeing the old chunk before building this
+            # one made a 1e6-step arm 6-10% slower
+            _last_chunk.clear()
+            _last_chunk[key] = a, b
         a, b = _last_chunk[key]
         if int(arm) * params.omega_sign < 0:  # y-component flips: (a, -b*)
             b = -np.conjugate(b)
-        (a2, b2), (a1, b1) = _ordered_ck(a, b), total
-        total = (a2 * a1 - b2 * np.conj(b1), a2 * b1 + b2 * np.conj(a1))
-    return total
+        return a, b
+
+    return _chunked(settings, chunk, _mul_ck, (1.0 + 0.0j, 0.0j))
 
 
 def _lift_su2(a, b, two_j):
@@ -364,31 +353,29 @@ def _lift_su2(a, b, two_j):
     return (v * np.exp(-1j * phi * w)) @ v.conj().T
 
 
-def _total_unitary_dense(params, arm, settings, method):
-    ts = _step_times(settings, 0, settings.n_steps)
+def _total_unitary_dense(params, arm, settings):
     sx, sy, sz = spin_matrices(params.two_j)
-    cx, cy, cz = _field_coefficients(params, ts, arm)
-    H = (
-        cx[:, None, None] * sx
-        + cy[:, None, None] * sy
-        + cz[:, None, None] * sz
-    )
-    if method == "eigendecomposition":
+
+    def chunk(start, stop):
+        cx, cy, cz = _field_coefficients(
+            params, _step_times(settings, start, stop), arm)
+        H = (
+            cx[:, None, None] * sx
+            + cy[:, None, None] * sy
+            + cz[:, None, None] * sz
+        )
         w, v = np.linalg.eigh(H)
         phases = np.exp(-1j * w * settings.dt)
-        steps = np.einsum("kij,kj,klj->kil", v, phases, v.conj())
-    else:
-        steps = _expi_taylor_batch(H, settings.dt)
-    return _ordered_product(steps)
+        return (np.einsum("kij,kj,klj->kil", v, phases, v.conj()),)
+
+    eye = np.eye(params.dim, dtype=complex)
+    return _chunked(settings, chunk, _mul_dense, (eye,))[0]
 
 
 def total_unitary(params, arm, settings=PropagationSettings()):
     """Time-ordered propagator over one cycle for the given arm."""
-    method = settings.exp_method
-    if method == "exact_2x2" and params.two_j != 1:
-        raise ValueError("exact_2x2 is only available for two_j = 1")
-    if method not in ("auto", "exact_2x2"):
-        return _total_unitary_dense(params, arm, settings, method)
+    if settings.exp_method == "eigendecomposition":
+        return _total_unitary_dense(params, arm, settings)
     a, b = _total_ck(params, arm, settings)
     return _ck_matrix(a, b) if params.two_j == 1 else _lift_su2(a, b, params.two_j)
 

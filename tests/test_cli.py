@@ -297,6 +297,13 @@ class TestRun:
         (["simulate", "--circuit", "spqrs", "--beta", "1e308"], "out.csv"),
         (["simulate", "--circuit", "spqrs", "--beta", "1e160"], "out.csv"),
         (["simulate", "--circuit", "spqrs", "--two-j", "0"], "out.csv"),
+        # 2*strength overflows: was an OverflowError traceback
+        (["monopole", "--circuit", "spqrs", "--strength", "1e308"], "out.csv"),
+        # allocations of many PiB fail at once: were MemoryError tracebacks
+        (["sweep", *SMALL_SWEEP, "--two-j", "100000000"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--nx", "100000000000000000"], "out.csv"),
+        (["oracle", "--circuit", "spqrs",
+          "--points-per-segment", "1000000000000000"], "out.csv"),
         # checked before any work, not at the write after the full compute
         (["simulate", "--circuit", "spqrs"], "missing/out.csv"),
         (["simulate", "--circuit", "spqrs"], "existing_dir"),

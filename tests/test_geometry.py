@@ -209,7 +209,7 @@ class TestAbPhase:
         )
 
     def test_strength_validation(self):
-        for strength in (0.3, 0.0, np.inf, np.nan):
+        for strength in (0.3, 0.0, np.inf, np.nan, 1e308):
             with pytest.raises(ValueError):
                 MonopoleScene(strength)
 

@@ -21,7 +21,7 @@ from geomphase import (
     total_unitary,
 )
 from geomphase import spinsys
-from geomphase.spinsys import CHUNK_STEPS, SAMPLING_RULES
+from geomphase.spinsys import CHUNK_STEPS, EXP_METHODS, SAMPLING_RULES
 
 SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -184,8 +184,10 @@ class TestSettingsValidation:
             PropagationSettings(sampling_rule="trapezoid")
 
     def test_rejects_bad_exp_method(self):
-        with pytest.raises(ValueError):
-            PropagationSettings(exp_method="pade")
+        # exact_2x2 is a step_unitary method only; scaled_series is gone
+        for method in ("pade", "exact_2x2", "scaled_series"):
+            with pytest.raises(ValueError):
+                PropagationSettings(exp_method=method)
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
@@ -194,12 +196,6 @@ class TestSettingsValidation:
     def test_branch_out_of_range(self):
         with pytest.raises(ValueError):
             initial_state(FieldParams(0.0, 0.0, 1.0), branch=2)
-
-    def test_exact_2x2_rejects_higher_spin(self):
-        params = FieldParams(0.0, 0.0, 1.0, two_j=2)
-        with pytest.raises(ValueError):
-            total_unitary(params, ArmSense.PLUS,
-                          PropagationSettings(10, exp_method="exact_2x2"))
 
     def test_step_unitary_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
@@ -228,7 +224,7 @@ class TestStepUnitary:
             A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             H = A + A.conj().T
             U1 = step_unitary(H, 0.3, method="eigendecomposition")
-            U2 = step_unitary(H, 0.3, method="scaled_series")
+            U2 = scipy.linalg.expm(-0.3j * H)
             assert np.max(np.abs(U1 - U2)) < 1e-11
 
     def test_exact_2x2_matches_eigendecomposition(self):
@@ -298,7 +294,7 @@ class TestEvolveArm:
                 2.0 * beta * abs(np.sin(np.pi * r)) / r, abs=1e-12
             )
 
-    @pytest.mark.parametrize("method", ["eigendecomposition", "scaled_series"])
+    @pytest.mark.parametrize("method", ["eigendecomposition"])
     @pytest.mark.parametrize("two_j", [1, 2, 3])
     def test_total_unitary_methods_agree(self, method, two_j):
         params = FieldParams(0.7, 0.4, 3.0, two_j=two_j)
@@ -433,6 +429,54 @@ class TestQuaternionKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestChunkLoop:
+    """Both exp_methods run through one chunk loop and running product."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        # the step grid and the chunk memo are built for the chunk size
+        monkeypatch.setattr(spinsys, "CHUNK_STEPS", 7)
+        spinsys._step_grid.cache_clear()
+        spinsys._last_chunk.clear()
+        yield
+        spinsys._step_grid.cache_clear()
+        spinsys._last_chunk.clear()
+
+    @pytest.mark.parametrize("two_j", [1, 3])
+    @pytest.mark.parametrize("method", EXP_METHODS)
+    def test_chunk_edges_match_sequential_step_product(self, small_chunks,
+                                                       method, two_j):
+        # 40 steps make five full chunks of 7 and a partial one; the
+        # reference multiplies step_unitary factors one by one, so it shares
+        # neither the chunk loop nor the pairwise reduction
+        params = FieldParams(0.3, -0.5, 2.0, two_j=two_j)
+        for rule in SAMPLING_RULES:
+            settings = PropagationSettings(40, rule, method)
+            dt = settings.dt
+            shift = 0.5 if rule == "midpoint" else 0.0
+            for arm in ArmSense:
+                ref = np.eye(two_j + 1, dtype=complex)
+                for k in range(settings.n_steps):
+                    H = hamiltonian_at(params, (k + shift) * dt, arm)
+                    ref = step_unitary(H, dt) @ ref
+                U = total_unitary(params, arm, settings)
+                assert np.max(np.abs(U - ref)) < 1e-12, (rule, arm)
+
+    def test_dense_memory_bounded(self):
+        params = FieldParams(0.7, 0.4, 3.0, two_j=2)
+
+        def peak(n_steps):
+            settings = PropagationSettings(n_steps, exp_method="eigendecomposition")
+            tracemalloc.start()
+            try:
+                total_unitary(params, ArmSense.PLUS, settings)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * CHUNK_STEPS + 3) < 1.1 * peak(CHUNK_STEPS + 1)
 
 
 class TestPropagationInvariants:
