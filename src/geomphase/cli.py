@@ -7,18 +7,22 @@ Four commands share one executable:
   sweep     -- Pancharatnam readings over a rectangular parameter grid
   monopole  -- transport the loop around a monopole and track the phase
 
+parse_args returns the argparse namespace as the run request, with the
+circuit, beta and monopole scene resolved onto it and its runner in `run`.
+
 Output files are byte-deterministic for a given configuration: CSV floats
 are written in scientific notation with 17 significant digits and JSON uses
-a fixed layout.  Exit codes: 0 success, 2 invalid input (or an allocation
-too large to make), 3 numerical failure (orthogonal states at a sample,
-non-quantized winding, refinement depth exceeded, degenerate geometry).
+a fixed layout.  Exit codes: 0 success, 2 invalid input (numbers too large
+for a float and allocations too large to make included), 3 numerical failure
+(orthogonal states at a sample, non-quantized winding, refinement depth
+exceeded, degenerate geometry).
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -33,28 +37,8 @@ SWEEP_COLUMNS = ("i", "j", "b1", "bz", "c", "alpha_wrapped")
 MONOPOLE_COLUMNS = ("index", "b1", "bz", "phase_unwrapped")
 
 
-@dataclass
-class RunConfig:
-    """Validated run request assembled from the command line."""
-
-    command: str
-    circuit: circuits.Circuit = None
-    beta: float = None
-    two_j: int = 1
-    n_steps: int = 20000
-    sampling_rule: str = "left_endpoint"
-    exp_method: str = "auto"
-    refine: bool = False
-    branch: int = 0
-    omega_sign: int = 1
-    out: str = None
-    fmt: str = "csv"
-    # sweep-only
-    b1_range: tuple = None
-    bz_range: tuple = None
-    grid: tuple = None
-    # monopole-only
-    scene: geometry.MonopoleScene = None
+# Exit code 2: invalid input, an allocation too large to make, a failed write.
+INPUT_ERRORS = (ValueError, OSError, MemoryError, OverflowError)
 
 
 def circuit_to_json(circuit):
@@ -118,52 +102,50 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_beta):
-        p.add_argument(
-            "--circuit",
-            required=True,
-            help="preset name (abcda|efghe|spqrs) or path to a circuit JSON",
-        )
-        p.add_argument("--points-per-segment", type=int, default=None)
+    def command(name, runner, help_text, circuit=True, two_j=True, propagate=False):
+        """A subcommand with the flags it shares with the others."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=runner)
+        if circuit:
+            p.add_argument(
+                "--circuit",
+                required=True,
+                help="preset name (abcda|efghe|spqrs) or path to a circuit JSON",
+            )
+            p.add_argument("--points-per-segment", type=int, default=None)
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if needs_beta:
-            p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        if two_j:
             p.add_argument("--two-j", dest="two_j", type=int, default=1)
+        if propagate:
+            # a preset circuit supplies beta; without a circuit it is required
+            p.add_argument("--beta", type=float, required=not circuit, default=None)
+            p.add_argument("--steps", dest="n_steps", type=int, default=20000)
+        return p
 
-    sim = sub.add_parser("simulate", help="drive a circuit with full propagation")
-    add_common(sim, needs_beta=True)
-    sim.add_argument("--steps", dest="n_steps", type=int, default=20000)
-    sim.add_argument(
-        "--sampling",
-        choices=spinsys.SAMPLING_RULES,
-        default="left_endpoint",
-    )
+    sim = command("simulate", _run_simulate, "drive a circuit with full propagation",
+                  propagate=True)
+    sim.add_argument("--sampling", dest="sampling_rule",
+                     choices=spinsys.SAMPLING_RULES, default="left_endpoint")
     sim.add_argument("--exp-method", choices=spinsys.EXP_METHODS, default="auto")
     sim.add_argument("--refine", action="store_true")
     sim.add_argument("--branch", type=int, default=0,
                      help="starting eigenstate index, 0 = lowest")
     sim.add_argument("--omega-sign", type=int, choices=(1, -1), default=1)
 
-    orc = sub.add_parser("oracle", help="solid-angle prediction only")
-    add_common(orc, needs_beta=False)
-    orc.add_argument("--two-j", dest="two_j", type=int, default=1)
+    command("oracle", _run_oracle, "solid-angle prediction only")
 
-    swp = sub.add_parser("sweep", help="grid of interference readings")
+    swp = command("sweep", _run_sweep, "grid of interference readings",
+                  circuit=False, propagate=True)
     swp.add_argument("--b1-min", type=float, required=True)
     swp.add_argument("--b1-max", type=float, required=True)
     swp.add_argument("--bz-min", type=float, required=True)
     swp.add_argument("--bz-max", type=float, required=True)
     swp.add_argument("--nx", type=int, required=True)
     swp.add_argument("--ny", type=int, required=True)
-    swp.add_argument("--beta", type=float, required=True)
-    swp.add_argument("--two-j", dest="two_j", type=int, default=1)
-    swp.add_argument("--steps", dest="n_steps", type=int, default=20000)
-    swp.add_argument("--out", required=True)
-    swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    mono = sub.add_parser("monopole", help="loop transport around a monopole")
-    add_common(mono, needs_beta=False)
+    mono = command("monopole", _run_monopole, "loop transport around a monopole",
+                   two_j=False)
     mono.add_argument("--strength", type=float, required=True,
                       help="monopole strength, a nonzero half-integer")
     mono.add_argument("--string-thickness", type=float, default=0.0)
@@ -172,7 +154,7 @@ def _build_parser():
 
 
 def parse_args(argv=None):
-    """Parse and validate a command line into a RunConfig.
+    """Parse and validate a command line into the run request, a namespace.
 
     argparse handles unknown flags and missing arguments with exit code 2;
     semantic errors (bad circuit files, invalid strengths, a missing output
@@ -182,7 +164,7 @@ def parse_args(argv=None):
     ns = parser.parse_args(argv)
     try:
         return _config_from_namespace(ns)
-    except (ValueError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         parser.exit(2, _error_line(exc))
 
 
@@ -191,45 +173,29 @@ def _error_line(exc):
 
 
 def _config_from_namespace(ns):
+    """Check ns and resolve its circuit, beta and monopole scene in place."""
     if not os.path.isdir(os.path.dirname(ns.out) or "."):
         raise ValueError(f"--out directory does not exist: {ns.out}")
     if os.path.isdir(ns.out):
         raise ValueError(f"--out names a directory: {ns.out}")
-    config = RunConfig(command=ns.command, out=ns.out, fmt=ns.format)
-
     if ns.command == "sweep":
-        config.b1_range = (ns.b1_min, ns.b1_max)
-        config.bz_range = (ns.bz_min, ns.bz_max)
-        config.grid = (ns.nx, ns.ny)
-        config.beta = ns.beta
-        config.two_j = ns.two_j
-        config.n_steps = ns.n_steps
-        return config
+        return ns
 
-    circuit, preset_beta = _load_circuit(ns.circuit, ns.points_per_segment)
-    config.circuit = circuit
-    if ns.command in ("simulate", "oracle"):
-        config.two_j = ns.two_j
-        if config.two_j < 1:
-            raise ValueError("--two-j must be >= 1")
+    ns.circuit, preset_beta = _load_circuit(ns.circuit, ns.points_per_segment)
+    if ns.command in ("simulate", "oracle") and ns.two_j < 1:
+        raise ValueError("--two-j must be >= 1")
 
     if ns.command == "simulate":
-        config.beta = ns.beta if ns.beta is not None else preset_beta
-        if config.beta is None:
+        ns.beta = preset_beta if ns.beta is None else ns.beta
+        if ns.beta is None:
             raise ValueError("--beta is required for non-preset circuits")
-        config.n_steps = ns.n_steps
-        config.sampling_rule = ns.sampling
-        config.exp_method = ns.exp_method
-        config.refine = ns.refine
-        config.branch = ns.branch
-        config.omega_sign = ns.omega_sign
-        if not 0 <= config.branch <= config.two_j:
+        if not 0 <= ns.branch <= ns.two_j:
             raise ValueError("--branch must lie in [0, two_j]")
     elif ns.command == "monopole":
-        config.scene = geometry.MonopoleScene(
+        ns.scene = geometry.MonopoleScene(
             strength_g=ns.strength, string_thickness=ns.string_thickness
         )
-    return config
+    return ns
 
 
 def _write_text(path, text):
@@ -260,71 +226,44 @@ def _table(fmt, columns, rows, **head):
 
 
 def _trace_table(trace, fmt):
-    rows = [
-        (s.index, s.b1, s.bz, s.modulus_c, s.alpha_wrapped, s.alpha_unwrapped,
-         s.oracle_unwrapped)
-        for s in trace.samples
-    ]
+    rows = [astuple(s) for s in trace.samples]  # fields in TRACE_COLUMNS order
     meta = None if trace.metadata is None else asdict(trace.metadata)
     return _table(fmt, TRACE_COLUMNS, rows, metadata=meta)
 
 
-def _summary(winding, residual, max_dev):
+def _summary(winding, delta, max_dev=0.0):
+    residual = abs(delta / (2.0 * np.pi) - winding)
     return f"winding={winding} residual={residual:.6f} max_oracle_dev={max_dev:.6f}"
 
 
-def _closed_summary(delta):
-    """Summary of a closed circuit's net phase (NonQuantizedWinding -> 3)."""
-    w = phase.winding_of_delta(delta)
-    return _summary(w, abs(delta / (2.0 * np.pi) - w), 0.0)
-
-
 def run(config):
-    """Execute a validated configuration; returns the process exit code."""
+    """Execute a validated run request; returns the process exit code."""
     try:
-        if config.command == "simulate":
-            return _run_simulate(config)
-        if config.command == "oracle":
-            return _run_oracle(config)
-        if config.command == "sweep":
-            return _run_sweep(config)
-        if config.command == "monopole":
-            return _run_monopole(config)
-        raise ValueError(f"unknown command {config.command!r}")
+        config.run(config)
     except GeomphaseError as exc:
         kind = type(exc).__name__
         index = getattr(exc, "sample_index", None)
         where = f" sample={index}" if index is not None else ""
         print(f"{kind}:{where} {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, MemoryError) as exc:
+    except INPUT_ERRORS as exc:
         sys.stderr.write(_error_line(exc))
         return 2
+    return 0
 
 
 def _run_simulate(config):
     settings = spinsys.PropagationSettings(
-        n_steps=config.n_steps,
-        sampling_rule=config.sampling_rule,
-        exp_method=config.exp_method,
-    )
+        config.n_steps, config.sampling_rule, config.exp_method)
     trace = circuits.trace_circuit(
-        config.circuit,
-        config.beta,
-        two_j=config.two_j,
-        settings=settings,
-        refine=config.refine,
-        omega_sign=config.omega_sign,
-        branch=config.branch,
+        config.circuit, config.beta, two_j=config.two_j, settings=settings,
+        refine=config.refine, omega_sign=config.omega_sign, branch=config.branch,
     )
     _write_text(config.out, _trace_table(trace, config.fmt))
-
     delta = trace.delta_alpha()
     max_dev = circuits.max_oracle_deviation(trace)
     w = phase.winding(trace)  # may raise NonQuantizedWinding -> exit 3
-    residual = abs(delta / (2.0 * np.pi) - w)
-    print(_summary(w, residual, max_dev))
-    return 0
+    print(_summary(w, delta, max_dev))
 
 
 def _run_oracle(config):
@@ -334,22 +273,20 @@ def _run_oracle(config):
         (k, b1, bz, None, None, None, float(v))
         for k, ((b1, bz), v) in enumerate(zip(points, oracle))
     ]
-    _write_text(
-        config.out, _table(config.fmt, TRACE_COLUMNS, rows, two_j=config.two_j)
-    )
-    print(_closed_summary(float(oracle[-1] - oracle[0])))
-    return 0
+    table = _table(config.fmt, TRACE_COLUMNS, rows, two_j=config.two_j)
+    _write_text(config.out, table)
+    delta = float(oracle[-1] - oracle[0])
+    print(_summary(phase.winding_of_delta(delta), delta))  # NonQuantizedWinding -> 3
 
 
 def _run_sweep(config):
-    settings = spinsys.PropagationSettings(n_steps=config.n_steps)
     result = circuits.sweep_plane(
-        config.b1_range,
-        config.bz_range,
-        config.grid,
+        (config.b1_min, config.b1_max),
+        (config.bz_min, config.bz_max),
+        (config.nx, config.ny),
         config.beta,
         two_j=config.two_j,
-        settings=settings,
+        settings=spinsys.PropagationSettings(config.n_steps),
     )
     if config.fmt == "csv":
         rows = [
@@ -377,7 +314,6 @@ def _run_sweep(config):
         f"min_c={result.modulus_c.min():.6f} max_c={result.modulus_c.max():.6f} "
         f"undefined_cells={undefined}"
     )
-    return 0
 
 
 def _run_monopole(config):
@@ -389,8 +325,8 @@ def _run_monopole(config):
     ]
     head = {"strength_g": scene.strength_g, "string_thickness": scene.string_thickness}
     _write_text(config.out, _table(config.fmt, MONOPOLE_COLUMNS, rows, **head))
-    print(_closed_summary(float(phases[-1] - phases[0])))
-    return 0
+    delta = float(phases[-1] - phases[0])
+    print(_summary(phase.winding_of_delta(delta), delta))
 
 
 def main(argv=None):

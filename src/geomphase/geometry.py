@@ -187,7 +187,14 @@ def unwrap_solid_angles(omegas):
     return out
 
 
-def oracle_phase_trace(circuit_samples, two_j=1, n_samples=4096):
+def _solid_angle_trace(circuit_samples):
+    """Solid angles of the loops centered at the samples, as computed and
+    unwrapped to a continuous branch."""
+    omegas = [solid_angle(LoopGeometry(b1, bz)) for b1, bz in circuit_samples]
+    return omegas, unwrap_solid_angles(omegas)
+
+
+def oracle_phase_trace(circuit_samples, two_j=1):
     """Adiabatic-limit prediction of the unwrapped interference phase.
 
     For each (b1, bz) the field-cycle solid angle is computed, the sequence
@@ -195,11 +202,7 @@ def oracle_phase_trace(circuit_samples, two_j=1, n_samples=4096):
     ORACLE_SIGN * two_j * (Omega - Omega_0) / 2, which starts at zero.  A
     closed circuit looping a degeneracy once accumulates -+2*pi*two_j.
     """
-    omegas = [
-        solid_angle(LoopGeometry(b1, bz, n_samples=n_samples))
-        for b1, bz in circuit_samples
-    ]
-    unwrapped = unwrap_solid_angles(omegas)
+    _, unwrapped = _solid_angle_trace(circuit_samples)
     return ORACLE_SIGN * two_j * (unwrapped - unwrapped[0]) / 2.0
 
 
@@ -236,7 +239,7 @@ def string_pierces_loop(loop, scene):
     return d < 1.0
 
 
-def monopole_transport_trace(circuit_samples, scene, n_samples=4096):
+def monopole_transport_trace(circuit_samples, scene):
     """Accumulated interference phase while the loop is carried along a
     circuit in the monopole field.
 
@@ -248,11 +251,7 @@ def monopole_transport_trace(circuit_samples, scene, n_samples=4096):
     which restores a net zero change over any closed circuit.
     """
     g = scene.strength_g
-    omegas = [
-        solid_angle(LoopGeometry(b1, bz, n_samples=n_samples))
-        for b1, bz in circuit_samples
-    ]
-    unwrapped = unwrap_solid_angles(omegas)
+    omegas, unwrapped = _solid_angle_trace(circuit_samples)
     phases = g * (unwrapped - unwrapped[0])
     if scene.string_thickness == 0.0:
         return phases

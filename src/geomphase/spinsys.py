@@ -20,14 +20,15 @@ Euclidean norm; no wrapper class is used.
 
 Propagation multiplies n_steps short-time unitaries U_k = exp(-i H(t_k) dt)
 in time order.  One chunk loop serves every exp_method: the steps of each
-chunk of CHUNK_STEPS are reduced pairwise and multiply a running product,
-so memory stays bounded for any n_steps.  H(t) lies in su(2), so by default
-("auto") each step is the Cayley-Klein pair (a, b) of its spin-1/2 image
-[[a, b], [-b*, a*]].  e^{-i t_k} over one chunk is cached per grid, and a
-chunk's arm-independent factors are kept for the point's other arm.  The
-final pair is the 2x2 propagator; its spin-J lift equals the dimension-N
-step product exactly.  "eigendecomposition" exponentiates the dense
-spin-J Hamiltonian at each step instead, an independent check.
+chunk of CHUNK_STEPS (fewer for dense matrices above spin-3/2) are reduced
+pairwise and multiply a running product, so memory stays bounded for any
+n_steps and spin.  H(t) lies in su(2), so by default ("auto") each step is
+the Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]].
+e^{-i t_k} over one chunk is cached per grid, and a chunk's arm-independent
+factors are kept for the point's other arm.  The final pair is the 2x2
+propagator; its spin-J lift equals the dimension-N step product exactly.
+"eigendecomposition" exponentiates the dense spin-J Hamiltonian at each
+step instead, an independent check.
 """
 
 import functools
@@ -43,7 +44,7 @@ T_TOTAL = np.pi
 
 SAMPLING_RULES = ("left_endpoint", "midpoint")
 EXP_METHODS = ("auto", "eigendecomposition")
-# Steps per chunk of every exp_method; the default path's step grid takes 0.5 MiB.
+# Steps per chunk; the default path's step grid takes 0.5 MiB.
 CHUNK_STEPS = 2 ** 15
 
 
@@ -281,11 +282,11 @@ def _ordered(steps, mul):
     return tuple(x[0] for x in steps)
 
 
-def _chunked(settings, chunk, mul, total):
+def _chunked(settings, chunk, mul, total, size):
     """Multiply the ordered product of chunk(start, stop), for each chunk of
-    CHUNK_STEPS steps in time order, onto the running product total."""
-    for start in range(0, settings.n_steps, CHUNK_STEPS):
-        stop = min(start + CHUNK_STEPS, settings.n_steps)
+    size steps in time order, onto the running product total."""
+    for start in range(0, settings.n_steps, size):
+        stop = min(start + size, settings.n_steps)
         total = mul(_ordered(chunk(start, stop), mul), total)
     return total
 
@@ -334,7 +335,7 @@ def _total_ck(params, arm, settings):
             b = -np.conjugate(b)
         return a, b
 
-    return _chunked(settings, chunk, _mul_ck, (1.0 + 0.0j, 0.0j))
+    return _chunked(settings, chunk, _mul_ck, (1.0 + 0.0j, 0.0j), CHUNK_STEPS)
 
 
 def _lift_su2(a, b, two_j):
@@ -369,7 +370,9 @@ def _total_unitary_dense(params, arm, settings):
         return (np.einsum("kij,kj,klj->kil", v, phases, v.conj()),)
 
     eye = np.eye(params.dim, dtype=complex)
-    return _chunked(settings, chunk, _mul_dense, (eye,))[0]
+    # as many matrix elements per chunk as a spin-3/2 chunk, at any spin
+    size = max(1, min(CHUNK_STEPS, CHUNK_STEPS * 16 // params.dim ** 2))
+    return _chunked(settings, chunk, _mul_dense, (eye,), size)[0]
 
 
 def total_unitary(params, arm, settings=PropagationSettings()):

@@ -1,5 +1,6 @@
 """Command-line parsing, file output and exit codes."""
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -15,6 +16,7 @@ from geomphase.cli import (
     circuit_to_json,
     main,
     parse_args,
+    _build_parser,
     _trace_table,
 )
 
@@ -113,6 +115,70 @@ class TestParse:
              "--out", str(tmp_path / "t.csv")]
         )
         assert cfg.omega_sign == -1
+
+    # option -> (dest, type, default, required, choices), per subcommand
+    FLAGS = {
+        "simulate": {
+            "--beta": ("beta", float, None, False, None),
+            "--branch": ("branch", int, 0, False, None),
+            "--circuit": ("circuit", None, None, True, None),
+            "--exp-method": ("exp_method", None, "auto", False,
+                             ("auto", "eigendecomposition")),
+            "--format": ("fmt", None, "csv", False, ("csv", "json")),
+            "--omega-sign": ("omega_sign", int, 1, False, (1, -1)),
+            "--out": ("out", None, None, True, None),
+            "--points-per-segment": ("points_per_segment", int, None, False, None),
+            "--refine": ("refine", None, False, False, None),
+            "--sampling": ("sampling_rule", None, "left_endpoint", False,
+                           ("left_endpoint", "midpoint")),
+            "--steps": ("n_steps", int, 20000, False, None),
+            "--two-j": ("two_j", int, 1, False, None),
+        },
+        "oracle": {
+            "--circuit": ("circuit", None, None, True, None),
+            "--format": ("fmt", None, "csv", False, ("csv", "json")),
+            "--out": ("out", None, None, True, None),
+            "--points-per-segment": ("points_per_segment", int, None, False, None),
+            "--two-j": ("two_j", int, 1, False, None),
+        },
+        "sweep": {
+            "--b1-max": ("b1_max", float, None, True, None),
+            "--b1-min": ("b1_min", float, None, True, None),
+            "--beta": ("beta", float, None, True, None),
+            "--bz-max": ("bz_max", float, None, True, None),
+            "--bz-min": ("bz_min", float, None, True, None),
+            "--format": ("fmt", None, "csv", False, ("csv", "json")),
+            "--nx": ("nx", int, None, True, None),
+            "--ny": ("ny", int, None, True, None),
+            "--out": ("out", None, None, True, None),
+            "--steps": ("n_steps", int, 20000, False, None),
+            "--two-j": ("two_j", int, 1, False, None),
+        },
+        "monopole": {
+            "--circuit": ("circuit", None, None, True, None),
+            "--format": ("fmt", None, "csv", False, ("csv", "json")),
+            "--out": ("out", None, None, True, None),
+            "--points-per-segment": ("points_per_segment", int, None, False, None),
+            "--strength": ("strength", float, None, True, None),
+            "--string-thickness": ("string_thickness", float, 0.0, False, None),
+        },
+    }
+
+    def test_flag_table(self):
+        (subparsers,) = [a for a in _build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        table = {
+            command: {
+                a.option_strings[0]: (a.dest, a.type, a.default, a.required,
+                                      None if a.choices is None else tuple(a.choices))
+                for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            }
+            for command, parser in subparsers.choices.items()
+        }
+        assert table == self.FLAGS
+        assert main(["--help"]) == 0
+        for command in self.FLAGS:
+            assert main([command, "--help"]) == 0
 
 
 class TestCircuitJson:
@@ -307,6 +373,15 @@ class TestRun:
         # checked before any work, not at the write after the full compute
         (["simulate", "--circuit", "spqrs"], "missing/out.csv"),
         (["simulate", "--circuit", "spqrs"], "existing_dir"),
+        # numbers too large for a float: were OverflowError tracebacks
+        pytest.param(["oracle", "--circuit", "spqrs", "--two-j", "9" * 401],
+                     "out.csv", id="oracle --two-j huge"),
+        pytest.param(["simulate", "--circuit", "spqrs", "--two-j", "9" * 401],
+                     "out.csv", id="simulate --two-j huge"),
+        pytest.param(["sweep", *SMALL_SWEEP, "--two-j", "9" * 401],
+                     "out.csv", id="sweep --two-j huge"),
+        pytest.param(["simulate", "--circuit", "spqrs", "--steps", "9" * 401],
+                     "out.csv", id="simulate --steps huge"),
     ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else v)
     def test_invalid_input_exits_2_without_output(self, argv, out_name, tmp_path,
                                                   capsys):
@@ -325,7 +400,9 @@ class TestRun:
         ("points_per_segment", True),
         ("vertices", [[True, 1.0], [1.5, 1.0], [1.5, -1.0], [0.5, -1.0]]),
         ("vertices", [["0.5", 1.0], [1.5, 1.0], [1.5, -1.0], [0.5, -1.0]]),
-    ], ids=["pps-true", "vertex-true", "vertex-string"])
+        # an integer too large for a float: was an OverflowError traceback
+        ("vertices", [[10 ** 400, 1.0], [1.5, 1.0], [1.5, -1.0], [0.5, -1.0]]),
+    ], ids=["pps-true", "vertex-true", "vertex-string", "vertex-huge"])
     def test_non_numeric_circuit_json_exits_2(self, key, value, tmp_path, capsys):
         # JSON true and "0.5" are not numbers, though int() and float()
         # would take them

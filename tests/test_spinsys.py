@@ -444,7 +444,7 @@ class TestChunkLoop:
         spinsys._step_grid.cache_clear()
         spinsys._last_chunk.clear()
 
-    @pytest.mark.parametrize("two_j", [1, 3])
+    @pytest.mark.parametrize("two_j", [1, 3, 8])
     @pytest.mark.parametrize("method", EXP_METHODS)
     def test_chunk_edges_match_sequential_step_product(self, small_chunks,
                                                        method, two_j):
@@ -477,6 +477,21 @@ class TestChunkLoop:
                 tracemalloc.stop()
 
         assert peak(4 * CHUNK_STEPS + 3) < 1.1 * peak(CHUNK_STEPS + 1)
+
+    def test_dense_memory_bounded_in_spin(self):
+        # the dense chunk holds as many matrix elements at any spin
+        def peak(two_j):
+            params = FieldParams(0.7, 0.4, 3.0, two_j=two_j)
+            settings = PropagationSettings(2 * CHUNK_STEPS + 3,
+                                           exp_method="eigendecomposition")
+            tracemalloc.start()
+            try:
+                total_unitary(params, ArmSense.PLUS, settings)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) < 1.1 * peak(3)
 
 
 class TestPropagationInvariants:
