@@ -165,7 +165,8 @@ def solid_angle(loop):
     # apex farthest from the curve and its antipode (largest |cos| margin);
     # a subsampled curve suffices to rank the candidates
     stride = max(1, n // 256)
-    alignment = np.max(np.abs(_APEX_CANDIDATES @ u[::stride].T), axis=1)
+    alignment = _APEX_CANDIDATES @ u[::stride].T
+    alignment = np.abs(alignment, out=alignment).max(axis=1)
     apex = _APEX_CANDIDATES[int(np.argmin(alignment))]
     area_full = _fan_sum(u, apex)
     area_half = _fan_sum(u[::2], apex)

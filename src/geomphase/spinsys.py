@@ -23,10 +23,16 @@ in time order.  One chunk loop serves every exp_method: the steps of each
 chunk of CHUNK_STEPS (fewer for dense matrices above spin-3/2) are reduced
 pairwise and multiply a running product, so memory stays bounded for any
 n_steps and spin.  H(t) lies in su(2), so by default ("auto") each step is
-the Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]].
-e^{-i t_k} over one chunk is cached per grid, and a chunk's arm-independent
-factors are kept for the point's other arm.  The final pair is the 2x2
-propagator; its spin-J lift equals the dimension-N step product exactly.
+the Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]],
+with cos and sin of its angle taken from one tan of the half angle.
+e^{-i t_k} over one chunk is cached per grid.  The two arms see B_y of
+opposite sign, so one arm's steps are (a, b) and the other's (a, -b*): the
+first arm of a point builds each chunk's steps once, reduces them for both
+senses and keeps both final pairs for the other arm.  Steps and reduction
+levels are written into buffers kept per chunk length and reused by every
+point (the module is single-threaded), so the loop allocates nothing.  The
+final pair is the 2x2 propagator; its spin-J lift equals the dimension-N
+step product exactly.
 "eigendecomposition" exponentiates the dense spin-J Hamiltonian at each
 step instead, an independent check.
 """
@@ -216,7 +222,9 @@ def step_unitary(H, dt, method="auto"):
         # H = a0 + v . sigma with the trace phase a0 split off
         a0 = 0.5 * (H[0, 0] + H[1, 1]).real
         w = np.array([np.conj(H[1, 0])])
-        a, b = _ck_steps(w, 0.5 * (H[0, 0] - H[1, 1]).real, dt)
+        a, b = _ck_steps(w, 0.5 * (H[0, 0] - H[1, 1]).real, dt,
+                         np.empty(1, complex), np.empty((4, 1)),
+                         np.empty(1, bool))
         return np.exp(-1j * a0 * dt) * _ck_matrix(a[0], b[0])
     if method == "eigendecomposition":
         w, v = np.linalg.eigh(H)
@@ -224,20 +232,41 @@ def step_unitary(H, dt, method="auto"):
     raise ValueError(f"unknown exp method {method!r}")
 
 
-def _ck_steps(w, vz, h):
+def _ck_steps(w, vz, h, a, real, mask):
     """Pairs (a, b) = (cos phi - i k vz, -i k w) of exp(-i h v.sigma), where
-    w = vx - i vy, phi = |v| h and k = sin(phi)/|v|; b overwrites w.  |v| is
-    built from w: expanded in the field parameters it cancels near B = 0."""
-    norm = w.real * w.real + w.imag * w.imag
+    w = vx - i vy, phi = |v| h and k = sin(phi)/|v|; b overwrites w, a is
+    written to a, and real (four float rows) and mask (a bool row) are
+    scratch as long as w.  |v| is built from w: expanded in the field
+    parameters it cancels near B = 0."""
+    norm, tau, den, k = real
+    np.multiply(w.real, w.real, out=norm)
+    np.multiply(w.imag, w.imag, out=tau)
+    norm += tau
     norm += vz * vz
     np.sqrt(norm, out=norm)
-    phi = norm * h
-    k = np.sin(phi)
-    np.divide(k, norm, out=k, where=norm > 0.0)
-    a = np.empty_like(w)
-    np.cos(phi, out=a.real)
+    # one np.tan of phi/2 costs a third of np.cos and np.sin together
+    np.multiply(norm, 0.5 * h, out=tau)
+    np.tan(tau, out=tau)
+    np.multiply(tau, tau, out=den)
+    den += 1.0
+    np.divide(tau, den, out=k)
+    k += k  # sin phi = 2 tau/(1 + tau^2)
+    # cos phi = 1 - tau sin phi rounds once.  (1 - tau^2)/(1 + tau^2) rounds
+    # three terms onto the grid next to 1 and, for phi below 1e-3, biases
+    # |a|^2 + |b|^2 by -2e-18 a step; 2/(1 + tau^2) - 1 is the more accurate
+    # past tau^2 = 1, where tau sin phi nears 2.
+    tau *= k
+    np.subtract(1.0, tau, out=tau)
+    np.greater(den, 2.0, out=mask)
+    np.divide(2.0, den, out=tau, where=mask)
+    np.subtract(tau, 1.0, out=tau, where=mask)
+    a.real = tau
+    np.greater(norm, 0.0, out=mask)
+    np.divide(k, norm, out=k, where=mask)
     np.multiply(k, -vz, out=a.imag)
-    w *= k
+    # part by part: w *= k would cast k to complex through a 128 KiB buffer
+    w.real *= k
+    w.imag *= k
     w *= -1j
     return a, w
 
@@ -247,48 +276,64 @@ def _ck_matrix(a, b):
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 
-def _mul_ck(later, earlier):
+def _mul_ck(later, earlier, out=None, tmp=None):
     """Pair product (a2 a1 - b2 b1*, a2 b1 + b2 a1*), the later factor on the
-    left.  `*=` works in place on arrays and rebinds numpy scalars, such as
-    the running total: those keep scalar arithmetic, which rounds some
-    products differently from the array loop."""
+    left, written to the arrays out = (a, b) with the scratch array tmp;
+    neither may overlap an input.  Without out the factors are numpy
+    scalars, such as the running total, and so is the product: scalar
+    arithmetic rounds some products differently from the array loop."""
     (a2, b2), (a1, b1) = later, earlier
-    tmp = np.conjugate(b1)
-    pa = a2 * a1
+    if out is None:
+        return a2 * a1 - np.conjugate(b1) * b2, a2 * b1 + np.conjugate(a1) * b2
+    pa, pb = out
+    tmp = tmp[:len(pa)]
+    np.conjugate(b1, out=tmp)
     tmp *= b2
+    np.multiply(a2, a1, out=pa)
     pa -= tmp
-    tmp = np.conjugate(a1)
-    pb = a2 * b1
+    np.conjugate(a1, out=tmp)
     tmp *= b2
+    np.multiply(a2, b1, out=pb)
     pb += tmp
-    return pa, pb
+    return out
 
 
-def _mul_dense(later, earlier):
-    return (np.matmul(later[0], earlier[0]),)
+def _mul_dense(later, earlier, out=None):
+    return (np.matmul(later[0], earlier[0], out=None if out is None else out[0]),)
 
 
-def _ordered(steps, mul):
+def _ordered(steps, mul, levels):
     """Time-ordered product of the stacks in the tuple steps, which share
-    axis 0, reduced pairwise by mul(later, earlier)."""
-    while len(steps[0]) > 1:
-        m = len(steps[0])
-        even = m - m % 2
-        paired = mul(tuple(x[1:even:2] for x in steps),
-                     tuple(x[0:even:2] for x in steps))
-        if m % 2:
-            paired = tuple(np.concatenate((p, x[-1:])) for p, x in zip(paired, steps))
-        steps = paired
+    axis 0, reduced pairwise by mul(later, earlier, out).  levels holds two
+    sets of buffers with one stack for each stack in steps, of at least m/2
+    and m/4 entries (rounded up) for m steps.  The levels are written to
+    the front of the two sets in turn, so the reduction allocates nothing."""
+    m = len(steps[0])
+    while m > 1:
+        half, odd = divmod(m, 2)
+        out = tuple(x[:half + odd] for x in levels[0])
+        mul(tuple(x[1:m - odd:2] for x in steps),
+            tuple(x[0:m - odd:2] for x in steps),
+            tuple(x[:half] for x in out))
+        if odd:
+            for x, step in zip(out, steps):
+                x[half] = step[m - 1]
+        steps, m, levels = out, half + odd, levels[::-1]
     return tuple(x[0] for x in steps)
 
 
-def _chunked(settings, chunk, mul, total, size):
-    """Multiply the ordered product of chunk(start, stop), for each chunk of
-    size steps in time order, onto the running product total."""
-    for start in range(0, settings.n_steps, size):
-        stop = min(start + size, settings.n_steps)
-        total = mul(_ordered(chunk(start, stop), mul), total)
-    return total
+def _chunked(n_steps, size, chunk, mul, levels, totals):
+    """For each chunk of size steps in time order, chunk(start, stop) yields
+    one tuple of step stacks per running product in totals; the ordered
+    product of each tuple is multiplied onto its running product before the
+    next tuple is asked for."""
+    for start in range(0, n_steps, size):
+        # a zip bound to a name would keep its last steps alive while the
+        # next chunk is built
+        totals = tuple(
+            mul(_ordered(steps, mul, levels), total) for steps, total
+            in zip(chunk(start, min(start + size, n_steps)), totals))
+    return totals
 
 
 def _step_times(settings, start, stop):
@@ -307,35 +352,63 @@ def _step_grid(n_steps, sampling_rule):
     return grid
 
 
-# Read-only, arm-independent step pairs of the last chunk, keyed by the bits of
-# (b1, bz, beta), the grid and the chunk start: a point's second arm reuses them.
-_last_chunk = {}
+@functools.lru_cache(maxsize=1)
+def _workspace(size):
+    """Buffers for chunks of at most size steps, shared by every point (the
+    module is single-threaded): the step pairs (a, b); the two reduction
+    levels and the pair product's scratch; four float rows and a bool row
+    for _ck_steps.  The float rows overlay the reduction buffers, which are
+    idle while the steps are built."""
+    half = (size + 1) // 2
+    quarter = (half + 1) // 2
+    # 3 half + 2 quarter >= 2 size entries: room for the four float rows
+    z = np.empty(3 * half + 2 * quarter, complex)
+    levels = (z[:2 * half].reshape(2, half),
+              z[2 * half:2 * (half + quarter)].reshape(2, quarter))
+    return (np.empty((2, size), complex), levels, z[2 * (half + quarter):],
+            z.view(float)[:4 * size].reshape(4, size), np.empty(size, bool))
+
+
+def _both_senses(params, settings):
+    """Ordered spin-1/2 step products (a, b) for B_y of sign + and of sign -;
+    H = c . S, S = sigma/2.  Flipping B_y turns each step into (a, -b*)."""
+    n = settings.n_steps
+    size = min(n, CHUNK_STEPS)
+    (a, b), levels, tmp, real, mask = _workspace(size)
+    e = _step_grid(n, settings.sampling_rule)
+    c = 2.0 * params.beta
+
+    def chunk(start, stop):
+        m = stop - start
+        # w = c (b1 + e^{-i t}) = vx - i vy; later chunks rotate the grid
+        w = np.multiply(e[:m], np.exp(-1j * start * settings.dt), out=b[:m])
+        w += params.b1
+        w *= c
+        _ck_steps(w, c * params.bz, 0.5 * settings.dt, a[:m], real[:, :m],
+                  mask[:m])
+        yield a[:m], w
+        # (a, b) is reduced by now, so b turns into -b* in place
+        yield a[:m], np.negative(np.conjugate(w, out=w), out=w)
+
+    one = (1.0 + 0.0j, 0.0j)
+    return _chunked(n, size, chunk, functools.partial(_mul_ck, tmp=tmp),
+                    levels, (one, one))
+
+
+# The final pairs of both senses for the last (b1, bz, beta) and grid, keyed by
+# their bits: the first arm of a point computes both, the second reads its own.
+_last_point = {}
 
 
 def _total_ck(params, arm, settings):
-    """Ordered spin-1/2 step product as a pair (a, b); H = c . S, S = sigma/2."""
-    bits = np.array([params.b1, params.bz, params.beta]).tobytes()
-
-    def chunk(start, stop):
-        key = (bits, settings.n_steps, settings.sampling_rule, start)
-        if key not in _last_chunk:
-            c = 2.0 * params.beta
-            # w = c (b1 + e^{-i t}) = vx - i vy; later chunks rotate the grid
-            e = _step_grid(settings.n_steps, settings.sampling_rule)
-            w = (e[: stop - start] * np.exp(-1j * start * settings.dt)
-                 + params.b1) * c
-            a, b = _ck_steps(w, c * params.bz, 0.5 * settings.dt)
-            a.flags.writeable = b.flags.writeable = False
-            # dropped only now: freeing the old chunk before building this
-            # one made a 1e6-step arm 6-10% slower
-            _last_chunk.clear()
-            _last_chunk[key] = a, b
-        a, b = _last_chunk[key]
-        if int(arm) * params.omega_sign < 0:  # y-component flips: (a, -b*)
-            b = -np.conjugate(b)
-        return a, b
-
-    return _chunked(settings, chunk, _mul_ck, (1.0 + 0.0j, 0.0j), CHUNK_STEPS)
+    """Ordered spin-1/2 step product of one arm as a pair (a, b)."""
+    key = (np.array([params.b1, params.bz, params.beta]).tobytes(),
+           settings.n_steps, settings.sampling_rule)
+    if key not in _last_point:
+        _last_point.clear()
+        _last_point[key] = _both_senses(params, settings)
+    plus, minus = _last_point[key]
+    return plus if int(arm) * params.omega_sign > 0 else minus
 
 
 def _lift_su2(a, b, two_j):
@@ -360,19 +433,24 @@ def _total_unitary_dense(params, arm, settings):
     def chunk(start, stop):
         cx, cy, cz = _field_coefficients(
             params, _step_times(settings, start, stop), arm)
-        H = (
+        # H is not named, so it is freed before the steps are formed
+        w, v = np.linalg.eigh(
             cx[:, None, None] * sx
             + cy[:, None, None] * sy
             + cz[:, None, None] * sz
         )
-        w, v = np.linalg.eigh(H)
         phases = np.exp(-1j * w * settings.dt)
-        return (np.einsum("kij,kj,klj->kil", v, phases, v.conj()),)
+        yield (np.einsum("kij,kj,klj->kil", v, phases, v.conj()),)
 
     eye = np.eye(params.dim, dtype=complex)
     # as many matrix elements per chunk as a spin-3/2 chunk, at any spin
-    size = max(1, min(CHUNK_STEPS, CHUNK_STEPS * 16 // params.dim ** 2))
-    return _chunked(settings, chunk, _mul_dense, (eye,), size)[0]
+    size = min(settings.n_steps,
+               max(1, min(CHUNK_STEPS, CHUNK_STEPS * 16 // params.dim ** 2)))
+    half = (size + 1) // 2
+    levels = tuple(np.empty((1, n) + eye.shape, complex)
+                   for n in (half, (half + 1) // 2))
+    return _chunked(settings.n_steps, size, chunk, _mul_dense, levels,
+                    ((eye,),))[0][0]
 
 
 def total_unitary(params, arm, settings=PropagationSettings()):

@@ -380,7 +380,8 @@ class TestQuaternionKernel:
         settings = PropagationSettings(500)
         for arm in ArmSense:
             spinsys._step_grid.cache_clear()
-            spinsys._last_chunk.clear()
+            spinsys._workspace.cache_clear()
+            spinsys._last_point.clear()
             expected = total_unitary(params, arm, settings).tobytes()
             before = {
                 "nothing cached": lambda: None,
@@ -391,9 +392,13 @@ class TestQuaternionKernel:
                     replace(params, bz=0.01), -arm, settings),
                 "another grid": lambda: total_unitary(
                     params, arm, PropagationSettings(500, "midpoint")),
+                "several chunks": lambda: total_unitary(
+                    params, arm, PropagationSettings(70001)),
+                "another chunk length": lambda: total_unitary(
+                    replace(params, bz=0.01), arm, PropagationSettings(300)),
             }
             for what, call in before.items():
-                spinsys._last_chunk.clear()
+                spinsys._last_point.clear()
                 call()
                 assert total_unitary(params, arm, settings).tobytes() == expected, (
                     arm, what)
@@ -430,19 +435,91 @@ class TestQuaternionKernel:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_steps_built_once_for_both_arms(self, monkeypatch):
+        built = []
+        ck_steps = spinsys._ck_steps
+
+        def counting(w, *args):
+            built.append(len(w))
+            return ck_steps(w, *args)
+
+        monkeypatch.setattr(spinsys, "_ck_steps", counting)
+        spinsys._last_point.clear()
+        params = FieldParams(0.3, -0.5, 2.0)
+        settings = PropagationSettings(2 * CHUNK_STEPS + 7)
+        total_unitary(params, ArmSense.PLUS, settings)
+        assert built == [CHUNK_STEPS, CHUNK_STEPS, 7]
+        total_unitary(params, ArmSense.MINUS, settings)
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("n_steps", [20000, 70001])
+    def test_two_arms_allocate_no_step_arrays(self, n_steps):
+        # steps and reduction levels live in buffers kept across points; one
+        # array of 20000 complex steps alone would take 312 KiB
+        settings = PropagationSettings(n_steps)
+        total_unitary(FieldParams(0.7, 0.4, 3.0, two_j=3), ArmSense.PLUS, settings)
+        params = FieldParams(0.7, 0.41, 3.0, two_j=3)
+        tracemalloc.start()
+        try:
+            for arm in ArmSense:
+                total_unitary(params, arm, settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_half_angle_step_matches_sin_cos(self):
+        # cos phi and sin phi come from tan(phi/2); seeded fields span
+        # phi = |v| h in [0, 100], and beta = 0 gives |v| = 0
+        rng = np.random.default_rng(9)
+        h = 0.5
+        t = np.linspace(0.0, np.pi, 2001)
+        for beta in [0.0, *rng.uniform(0.0, 1.0, 40)]:
+            b1, bz = rng.uniform(-2.0, 2.0, 2)
+            # scale so the largest phi stays within 100
+            c = 2.0 * beta * 100.0 / (2.0 * h * (abs(b1) + 1.0 + abs(bz)))
+            w = c * (b1 + np.exp(-1j * t))
+            vz = c * bz
+            # |v| summed as the kernel sums it: at phi ~ 100 one ulp is 1.4e-14
+            norm = np.sqrt(w.real * w.real + w.imag * w.imag + vz * vz)
+            phi = norm * h
+            k = np.divide(np.sin(phi), norm, out=np.zeros_like(norm), where=norm > 0)
+            a_ref = np.cos(phi) - 1j * k * vz
+            b_ref = -1j * k * w
+            a, b = spinsys._ck_steps(w.copy(), vz, h, np.empty_like(w),
+                                     np.empty((4, len(w))), np.empty(len(w), bool))
+            assert np.max(np.abs(a - a_ref)) <= 1e-15, beta
+            assert np.max(np.abs(b - b_ref)) <= 1e-15, beta
+            assert np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)) <= 1e-15, beta
+
+    def test_small_steps_keep_unit_norm_on_average(self):
+        # |a|^2 + |b|^2 - 1 must not drift over many steps: with
+        # cos phi = (1 - tau^2)/(1 + tau^2) its mean here is -2e-18, which
+        # moved c by 1.1e-12 over 200003 steps at beta 20
+        rng = np.random.default_rng(10)
+        n = 1_000_000
+        w = rng.uniform(1e-5, 1e-3, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        a, b = spinsys._ck_steps(w, 0.0, 1.0, np.empty_like(w), np.empty((4, n)),
+                                 np.empty(n, bool))
+        # (Re a - 1)(Re a + 1) keeps the deviation exact to ~1e-22 in doubles
+        dev = (a.real - 1.0) * (a.real + 1.0) + a.imag ** 2 + b.real ** 2 + b.imag ** 2
+        assert abs(dev.mean()) < 4e-19
+
 
 class TestChunkLoop:
     """Both exp_methods run through one chunk loop and running product."""
 
     @pytest.fixture
     def small_chunks(self, monkeypatch):
-        # the step grid and the chunk memo are built for the chunk size
+        # the step grid, the buffers and the memo are built for the chunk size
         monkeypatch.setattr(spinsys, "CHUNK_STEPS", 7)
         spinsys._step_grid.cache_clear()
-        spinsys._last_chunk.clear()
+        spinsys._workspace.cache_clear()
+        spinsys._last_point.clear()
         yield
         spinsys._step_grid.cache_clear()
-        spinsys._last_chunk.clear()
+        spinsys._workspace.cache_clear()
+        spinsys._last_point.clear()
 
     @pytest.mark.parametrize("two_j", [1, 3, 8])
     @pytest.mark.parametrize("method", EXP_METHODS)
