@@ -46,7 +46,6 @@ from .geometry import (
 from .phase import (
     PancharatnamReading,
     PhaseTrace,
-    TraceSample,
     intensity,
     interference_scan,
     pancharatnam,
@@ -92,7 +91,6 @@ __all__ = [
     "StringOnBoundary",
     "SweepResult",
     "TraceMetadata",
-    "TraceSample",
     "ab_phase",
     "enclosed_singularity_count",
     "evolve_arm",

@@ -8,6 +8,7 @@ alongside.  Optional adaptive bisection refines the sampling wherever the
 wrapped phase moves too fast for the shortest-branch rule to be trusted.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,19 +118,10 @@ def sample_circuit(circuit):
     with sample[0] == sample[400].
     """
     pps = circuit.points_per_segment
-    fractions = np.arange(pps) / pps
-    points = []
-    verts = circuit.vertices
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        a = np.array(a)
-        b = np.array(b)
-        points.extend(a + (b - a) * f for f in fractions)
-    points.append(np.array(verts[0], dtype=float))
-    return np.array(points)
-
-
-def _distance_to_singularities(b1, bz):
-    return min(np.hypot(b1 - s1, bz - s2) for s1, s2 in SINGULAR_POINTS)
+    fractions = (np.arange(pps) / pps)[:, None]
+    starts = np.array(circuit.vertices)[:, None]
+    legs = starts + (np.roll(starts, -1, axis=0) - starts) * fractions
+    return np.concatenate((legs.reshape(-1, 2), starts[0]))
 
 
 def _arm_states(point, beta, two_j, omega_sign, settings, branch):
@@ -175,20 +167,23 @@ def trace_circuit(
     """Drive a circuit: simulate both arms at every sample and unwrap.
 
     Returns a PhaseTrace whose samples carry the interference modulus, the
-    wrapped and unwrapped phase, and the solid-angle oracle prediction
-    (both the unwrapped phase relative to its start and the oracle start at
-    the first sample).  With refine=True, any consecutive pair whose
-    wrapped-phase step exceeds pi/2 is recursively bisected (depth <= 8)
-    and the extra samples are spliced in.
+    wrapped and unwrapped phase, and the solid-angle oracle prediction for
+    the starting branch and omega_sign (the unwrapped phase starts at its
+    first wrapped value, the oracle at zero).  With refine=True, any
+    consecutive pair whose wrapped-phase step exceeds pi/2 is recursively
+    bisected (depth <= 8) and the extra samples are spliced in.
     """
     samples = sample_circuit(circuit)
-    for k, (b1, bz) in enumerate(samples):
-        if _distance_to_singularities(b1, bz) < SINGULAR_GUARD:
-            raise OrthogonalStates(
-                f"sample {k} at (b1={b1:.6g}, bz={bz:.6g}) sits on a "
-                "singular point; the interference phase is undefined there",
-                sample_index=k,
-            )
+    gaps = [np.hypot(*(samples - s).T) for s in SINGULAR_POINTS]
+    near = np.flatnonzero(np.min(gaps, axis=0) < SINGULAR_GUARD)
+    if near.size:
+        k = int(near[0])
+        b1, bz = samples[k]
+        raise OrthogonalStates(
+            f"sample {k} at (b1={b1:.6g}, bz={bz:.6g}) sits on a "
+            "singular point; the interference phase is undefined there",
+            sample_index=k,
+        )
 
     def evaluate(point, k=None):
         try:
@@ -203,20 +198,18 @@ def trace_circuit(
                 sample_index=k,
             ) from exc
 
-    readings = [evaluate(point, k) for k, point in enumerate(samples)]
-    pairs = list(zip([tuple(p) for p in samples], readings))
+    pairs = [(point, evaluate(point, k)) for k, point in enumerate(samples)]
     if refine:
-        refined = [pairs[0]]
-        for k, ((p0, r0), (p1, r1)) in enumerate(zip(pairs, pairs[1:])):
-            inserted = _refine_between(p0, r0, p1, r1, evaluate, 0, k)
-            refined.extend([(tuple(pm), rm) for pm, rm in inserted])
-            refined.append((p1, r1))
+        refined = pairs[:1]
+        for k, (first, second) in enumerate(zip(pairs, pairs[1:])):
+            refined += _refine_between(*first, *second, evaluate, 0, k) + [second]
         pairs = refined
 
-    points = [p for p, _ in pairs]
-    oracle = geometry.oracle_phase_trace(points, two_j)
-
-    trace = phase.PhaseTrace(
+    points = np.array([p for p, _ in pairs])
+    c, alpha = np.array([(r.modulus_c, r.alpha_wrapped) for _, r in pairs]).T
+    oracle = geometry.oracle_phase_trace(points, omega_sign * (two_j - 2 * branch))
+    return phase.PhaseTrace.from_readings(
+        points[:, 0], points[:, 1], c, alpha, oracle,
         metadata=TraceMetadata(
             beta=beta,
             two_j=two_j,
@@ -229,17 +222,8 @@ def trace_circuit(
             vertices=circuit.vertices,
             points_per_segment=circuit.points_per_segment,
             refine=refine,
-        )
+        ),
     )
-    for (point, reading), oracle_value in zip(pairs, oracle):
-        phase.unwrap_append(
-            trace,
-            reading,
-            b1=point[0],
-            bz=point[1],
-            oracle_unwrapped=float(oracle_value),
-        )
-    return trace
 
 
 def max_oracle_deviation(trace):
@@ -248,8 +232,8 @@ def max_oracle_deviation(trace):
     Both series are measured from their own first sample, so the result
     compares shapes, not the arbitrary starting phase.
     """
-    alphas = trace.alphas_unwrapped()
-    oracle = np.array([s.oracle_unwrapped for s in trace.samples])
+    alphas = trace.samples.alpha_unwrapped
+    oracle = trace.samples.oracle_unwrapped
     return float(np.max(np.abs((alphas - alphas[0]) - (oracle - oracle[0]))))
 
 
@@ -260,12 +244,9 @@ def winding_number(vertices, point):
     that trace windings count the enclosed singular points.
     """
     x0, y0 = point
-    total = 0.0
-    verts = list(vertices)
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-        a1 = np.arctan2(y1 - y0, x1 - x0)
-        a2 = np.arctan2(y2 - y0, x2 - x0)
-        total += phase.wrap_angle(a2 - a1)
+    v = np.asarray(vertices, dtype=float)
+    angles = np.arctan2(v[:, 1] - y0, v[:, 0] - x0)
+    total = np.sum(phase.wrap_angle(np.roll(angles, -1) - angles))
     return int(np.round(total / TWO_PI))
 
 
@@ -299,6 +280,11 @@ def sweep_plane(
     nx, ny = grid
     if nx < 2 or ny < 2:
         raise ValueError("grid dimensions must be >= 2")
+    for name, (lo, hi) in (("b1", b1_range), ("bz", bz_range)):
+        # a non-finite end makes the span non-finite too
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"the {name} range [{lo}, {hi}] needs finite ends "
+                             "and a finite span")
     b1s = np.linspace(b1_range[0], b1_range[1], nx)
     bzs = np.linspace(bz_range[0], bz_range[1], ny)
     cs, alphas = [], []

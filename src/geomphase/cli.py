@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 
 import numpy as np
 
@@ -206,18 +206,18 @@ def _write_text(path, text):
 def _cell(x):
     if isinstance(x, int):
         return str(x)
-    return "" if x is None or np.isnan(x) else f"{x:.16e}"
+    return "" if np.isnan(x) else f"{x:.16e}"
 
 
 def _table(fmt, columns, rows, **head):
     """One row per sample, as CSV or as JSON {**head, "samples": [...]}.
 
-    CSV floats carry 17 significant digits and None or NaN leaves an empty
-    field; JSON samples omit None values.
+    CSV floats carry 17 significant digits and NaN leaves an empty field;
+    JSON samples omit NaN values.
     """
     if fmt == "json":
         samples = [
-            {name: x for name, x in zip(columns, row) if x is not None}
+            {name: x for name, x in zip(columns, row) if not np.isnan(x)}
             for row in rows
         ]
         return json.dumps({**head, "samples": samples}, indent=2) + "\n"
@@ -226,9 +226,9 @@ def _table(fmt, columns, rows, **head):
 
 
 def _trace_table(trace, fmt):
-    rows = [astuple(s) for s in trace.samples]  # fields in TRACE_COLUMNS order
     meta = None if trace.metadata is None else asdict(trace.metadata)
-    return _table(fmt, TRACE_COLUMNS, rows, metadata=meta)
+    # the sample fields are in TRACE_COLUMNS order
+    return _table(fmt, TRACE_COLUMNS, trace.samples.tolist(), metadata=meta)
 
 
 def _summary(winding, delta, max_dev=0.0):
@@ -267,12 +267,10 @@ def _run_simulate(config):
 
 
 def _run_oracle(config):
-    points = [tuple(p) for p in circuits.sample_circuit(config.circuit)]
+    points = circuits.sample_circuit(config.circuit)
     oracle = geometry.oracle_phase_trace(points, config.two_j)
-    rows = [
-        (k, b1, bz, None, None, None, float(v))
-        for k, ((b1, bz), v) in enumerate(zip(points, oracle))
-    ]
+    missing = np.full(len(points), np.nan)
+    rows = zip(range(len(points)), *points.T, missing, missing, missing, oracle)
     table = _table(config.fmt, TRACE_COLUMNS, rows, two_j=config.two_j)
     _write_text(config.out, table)
     delta = float(oracle[-1] - oracle[0])
@@ -318,11 +316,9 @@ def _run_sweep(config):
 
 def _run_monopole(config):
     scene = config.scene
-    points = [tuple(p) for p in circuits.sample_circuit(config.circuit)]
+    points = circuits.sample_circuit(config.circuit)
     phases = geometry.monopole_transport_trace(points, scene)
-    rows = [
-        (k, b1, bz, float(v)) for k, ((b1, bz), v) in enumerate(zip(points, phases))
-    ]
+    rows = zip(range(len(points)), *points.T, phases)
     head = {"strength_g": scene.strength_g, "string_thickness": scene.string_thickness}
     _write_text(config.out, _table(config.fmt, MONOPOLE_COLUMNS, rows, **head))
     delta = float(phases[-1] - phases[0])

@@ -179,13 +179,10 @@ def solid_angle(loop):
 def unwrap_solid_angles(omegas):
     """Continuous branch of a sequence of solid angles (period 4*pi)."""
     omegas = np.asarray(omegas, dtype=float)
-    out = np.empty_like(omegas)
-    out[0] = omegas[0]
-    for k in range(1, len(omegas)):
-        step = omegas[k] - omegas[k - 1]
-        step -= FOUR_PI * np.floor(step / FOUR_PI + 0.5)
-        out[k] = out[k - 1] + step
-    return out
+    steps = np.diff(omegas)
+    steps -= FOUR_PI * np.floor(steps / FOUR_PI + 0.5)
+    # accumulate adds in order, as a running sum does
+    return np.add.accumulate(np.concatenate((omegas[:1], steps)))
 
 
 def _solid_angle_trace(circuit_samples):
@@ -200,8 +197,11 @@ def oracle_phase_trace(circuit_samples, two_j=1):
 
     For each (b1, bz) the field-cycle solid angle is computed, the sequence
     is unwrapped to a continuous branch, and the phase is
-    ORACLE_SIGN * two_j * (Omega - Omega_0) / 2, which starts at zero.  A
-    closed circuit looping a degeneracy once accumulates -+2*pi*two_j.
+    ORACLE_SIGN * two_j * (Omega - Omega_0) / 2, which starts at zero.  The
+    scale two_j is the signed spin factor: omega_sign * (two_j - 2*branch)
+    for a trace started in eigenstate branch, and two_j for the oracle
+    command.  A closed circuit looping a degeneracy once accumulates
+    -+2*pi*two_j.
     """
     _, unwrapped = _solid_angle_trace(circuit_samples)
     return ORACLE_SIGN * two_j * (unwrapped - unwrapped[0]) / 2.0

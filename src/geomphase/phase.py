@@ -5,7 +5,8 @@ the fringe contrast and its argument alpha is the relative (Pancharatnam)
 phase.  alpha is only defined modulo 2*pi at a single parameter point, but
 monitoring it continuously along a circuit and unwrapping with the
 shortest-branch rule yields an unbounded phase whose total change over a
-closed circuit is quantized in multiples of 2*pi.
+closed circuit is quantized in multiples of 2*pi.  A PhaseTrace holds its
+samples as one record array and unwraps a whole column at a time.
 """
 
 from dataclasses import dataclass, field
@@ -38,31 +39,50 @@ class PancharatnamReading:
     alpha_wrapped: float
 
 
-@dataclass
-class TraceSample:
-    """One record of a phase trace."""
-
-    index: int
-    b1: float
-    bz: float
-    modulus_c: float
-    alpha_wrapped: float
-    alpha_unwrapped: float
-    oracle_unwrapped: float = None
+SAMPLE_FIELDS = ("index", "b1", "bz", "modulus_c", "alpha_wrapped",
+                 "alpha_unwrapped", "oracle_unwrapped")
 
 
 @dataclass
 class PhaseTrace:
-    """Ordered samples of the continuously monitored interference phase."""
+    """Ordered samples of the continuously monitored interference phase.
 
-    samples: list = field(default_factory=list)
+    samples is a record array with one record per sample and the fields
+    SAMPLE_FIELDS, which are also its columns; a missing oracle value is NaN.
+    """
+
+    samples: np.recarray = field(
+        default_factory=lambda: PhaseTrace.from_readings([], [], [], []).samples)
     metadata: object = None
 
+    @classmethod
+    def from_readings(cls, b1, bz, modulus_c, alpha_wrapped,
+                      oracle_unwrapped=np.nan, metadata=None):
+        """Trace of readings (modulus_c, alpha_wrapped) taken in order at the
+        points (b1, bz), with the phase unwrapped.
+
+        The first sample starts the unwrapped series at its own wrapped
+        value; every later sample adds the wrapped-to-(-pi, pi] difference
+        from the previous wrapped phase (shortest-branch rule), so
+        consecutive samples must be close enough in parameter space that the
+        true step stays below pi in magnitude.
+        """
+        alpha = np.asarray(alpha_wrapped, dtype=float)
+        # accumulate adds in order, as a running sum does
+        unwrapped = np.add.accumulate(
+            np.concatenate((alpha[:1], wrap_angle(np.diff(alpha)))))
+        columns = (np.arange(len(alpha)), b1, bz, modulus_c, alpha, unwrapped,
+                   oracle_unwrapped)
+        samples = np.rec.fromarrays(np.broadcast_arrays(*columns),
+                                    names=SAMPLE_FIELDS)
+        return cls(samples, metadata)
+
     def alphas_unwrapped(self):
-        return np.array([s.alpha_unwrapped for s in self.samples])
+        return self.samples.alpha_unwrapped
 
     def delta_alpha(self):
-        return self.samples[-1].alpha_unwrapped - self.samples[0].alpha_unwrapped
+        alphas = self.samples.alpha_unwrapped
+        return float(alphas[-1] - alphas[0])
 
 
 def pancharatnam(psi1, psi2):
@@ -113,33 +133,15 @@ def interference_scan(psi1, psi2, n_phases=64):
 
 
 def unwrap_append(trace, reading, b1=0.0, bz=0.0, oracle_unwrapped=None):
-    """Append a reading to a trace, extending the unwrapped phase.
-
-    The first sample starts the unwrapped series at its own wrapped value;
-    every later sample adds the wrapped-to-(-pi, pi] difference from the
-    previous wrapped phase (shortest-branch rule), so consecutive samples
-    must be close enough in parameter space that the true step stays below
-    pi in magnitude.
-    """
-    if trace.samples:
-        prev = trace.samples[-1]
-        step = wrap_angle(reading.alpha_wrapped - prev.alpha_wrapped)
-        unwrapped = prev.alpha_unwrapped + step
-        index = prev.index + 1
-    else:
-        unwrapped = reading.alpha_wrapped
-        index = 0
-    trace.samples.append(
-        TraceSample(
-            index=index,
-            b1=b1,
-            bz=bz,
-            modulus_c=reading.modulus_c,
-            alpha_wrapped=reading.alpha_wrapped,
-            alpha_unwrapped=unwrapped,
-            oracle_unwrapped=oracle_unwrapped,
-        )
-    )
+    """Append a reading to a trace, extending the unwrapped phase by the
+    rule of PhaseTrace.from_readings."""
+    s = trace.samples
+    oracle = np.nan if oracle_unwrapped is None else oracle_unwrapped
+    trace.samples = PhaseTrace.from_readings(
+        np.append(s.b1, b1), np.append(s.bz, bz),
+        np.append(s.modulus_c, reading.modulus_c),
+        np.append(s.alpha_wrapped, reading.alpha_wrapped),
+        np.append(s.oracle_unwrapped, oracle)).samples
     return trace
 
 
@@ -150,8 +152,8 @@ def winding(trace):
     NonQuantizedWinding when the total unwrapped change is not close to an
     integer multiple of 2*pi (undersampling or insufficient adiabaticity).
     """
-    first, last = trace.samples[0], trace.samples[-1]
-    if abs(first.b1 - last.b1) > 1e-9 or abs(first.bz - last.bz) > 1e-9:
+    s = trace.samples
+    if abs(s.b1[0] - s.b1[-1]) > 1e-9 or abs(s.bz[0] - s.bz[-1]) > 1e-9:
         raise ValueError("trace does not cover a closed circuit")
     return winding_of_delta(trace.delta_alpha())
 

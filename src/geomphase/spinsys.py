@@ -19,22 +19,23 @@ Spin states are plain complex numpy vectors of length two_j + 1 with unit
 Euclidean norm; no wrapper class is used.
 
 Propagation multiplies n_steps short-time unitaries U_k = exp(-i H(t_k) dt)
-in time order.  One chunk loop serves every exp_method: the steps of each
-chunk of CHUNK_STEPS (fewer for dense matrices above spin-3/2) are reduced
-pairwise and multiply a running product, so memory stays bounded for any
-n_steps and spin.  H(t) lies in su(2), so by default ("auto") each step is
-the Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]],
-with cos and sin of its angle taken from one tan of the half angle.
-e^{-i t_k} over one chunk is cached per grid.  The two arms see B_y of
-opposite sign, so one arm's steps are (a, b) and the other's (a, -b*): the
-first arm of a point builds each chunk's steps once, reduces them for both
-senses and keeps both final pairs for the other arm.  Steps and reduction
-levels are written into buffers kept per chunk length and reused by every
-point (the module is single-threaded), so the loop allocates nothing.  The
-final pair is the 2x2 propagator; its spin-J lift equals the dimension-N
-step product exactly.
+in time order.  Each exp_method has a chunk loop that builds the steps of a
+chunk of CHUNK_STEPS (fewer for dense matrices above spin-3/2) as one array
+whose axis 1 is time; the one pairwise reducer, _ordered, multiplies them in
+time order onto a running product, so memory stays bounded for any n_steps
+and spin.  H(t) lies in su(2), so by default ("auto") each step is the
+Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]], a column
+of a (2, m) array, with cos and sin of its angle taken from one tan of the
+half angle.  e^{-i t_k} over one chunk is cached per grid.  The two arms see
+B_y of opposite sign, so one arm's steps are (a, b) and the other's
+(a, -b*): the first arm of a point builds each chunk's steps once, reduces
+them, flips b in place and reduces them again, and keeps both final pairs
+for the other arm.  Steps and reduction levels are written into buffers kept
+per chunk length and reused by every point (the module is single-threaded),
+so the loop allocates nothing.  The final pair is the 2x2 propagator; its
+spin-J lift equals the dimension-N step product exactly.
 "eigendecomposition" exponentiates the dense spin-J Hamiltonian at each
-step instead, an independent check.
+step instead, an independent check, and reduces (1, m, N, N) steps.
 """
 
 import functools
@@ -278,10 +279,11 @@ def _ck_matrix(a, b):
 
 def _mul_ck(later, earlier, out=None, tmp=None):
     """Pair product (a2 a1 - b2 b1*, a2 b1 + b2 a1*), the later factor on the
-    left, written to the arrays out = (a, b) with the scratch array tmp;
-    neither may overlap an input.  Without out the factors are numpy
-    scalars, such as the running total, and so is the product: scalar
-    arithmetic rounds some products differently from the array loop."""
+    left.  With out, the factors are (2, k) arrays of pairs and the product
+    is written to out with the scratch array tmp; neither may overlap an
+    input.  Without out the factors are pairs of numpy scalars, such as the
+    running total, and so is the product: scalar arithmetic rounds some
+    products differently from the array loop."""
     (a2, b2), (a1, b1) = later, earlier
     if out is None:
         return a2 * a1 - np.conjugate(b1) * b2, a2 * b1 + np.conjugate(a1) * b2
@@ -298,42 +300,21 @@ def _mul_ck(later, earlier, out=None, tmp=None):
     return out
 
 
-def _mul_dense(later, earlier, out=None):
-    return (np.matmul(later[0], earlier[0], out=None if out is None else out[0]),)
-
-
 def _ordered(steps, mul, levels):
-    """Time-ordered product of the stacks in the tuple steps, which share
-    axis 0, reduced pairwise by mul(later, earlier, out).  levels holds two
-    sets of buffers with one stack for each stack in steps, of at least m/2
-    and m/4 entries (rounded up) for m steps.  The levels are written to
-    the front of the two sets in turn, so the reduction allocates nothing."""
-    m = len(steps[0])
+    """Time-ordered product of steps, an array whose axis 1 is time, reduced
+    pairwise by mul(later, earlier, out).  levels holds two buffers shaped
+    like steps, with at least m/2 and m/4 entries (rounded up) on axis 1 for
+    m steps.  The levels are written to the front of the two in turn, so the
+    reduction allocates nothing."""
+    m = steps.shape[1]
     while m > 1:
         half, odd = divmod(m, 2)
-        out = tuple(x[:half + odd] for x in levels[0])
-        mul(tuple(x[1:m - odd:2] for x in steps),
-            tuple(x[0:m - odd:2] for x in steps),
-            tuple(x[:half] for x in out))
+        out = levels[0][:, :half + odd]
+        mul(steps[:, 1:m - odd:2], steps[:, 0:m - odd:2], out[:, :half])
         if odd:
-            for x, step in zip(out, steps):
-                x[half] = step[m - 1]
+            out[:, half] = steps[:, m - 1]
         steps, m, levels = out, half + odd, levels[::-1]
-    return tuple(x[0] for x in steps)
-
-
-def _chunked(n_steps, size, chunk, mul, levels, totals):
-    """For each chunk of size steps in time order, chunk(start, stop) yields
-    one tuple of step stacks per running product in totals; the ordered
-    product of each tuple is multiplied onto its running product before the
-    next tuple is asked for."""
-    for start in range(0, n_steps, size):
-        # a zip bound to a name would keep its last steps alive while the
-        # next chunk is built
-        totals = tuple(
-            mul(_ordered(steps, mul, levels), total) for steps, total
-            in zip(chunk(start, min(start + size, n_steps)), totals))
-    return totals
+    return steps[:, 0]
 
 
 def _step_times(settings, start, stop):
@@ -374,25 +355,23 @@ def _both_senses(params, settings):
     H = c . S, S = sigma/2.  Flipping B_y turns each step into (a, -b*)."""
     n = settings.n_steps
     size = min(n, CHUNK_STEPS)
-    (a, b), levels, tmp, real, mask = _workspace(size)
+    steps, levels, tmp, real, mask = _workspace(size)
     e = _step_grid(n, settings.sampling_rule)
     c = 2.0 * params.beta
-
-    def chunk(start, stop):
-        m = stop - start
+    mul = functools.partial(_mul_ck, tmp=tmp)
+    plus = minus = (1.0 + 0.0j, 0.0j)
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        a, w = steps[:, :m]
         # w = c (b1 + e^{-i t}) = vx - i vy; later chunks rotate the grid
-        w = np.multiply(e[:m], np.exp(-1j * start * settings.dt), out=b[:m])
+        np.multiply(e[:m], np.exp(-1j * start * settings.dt), out=w)
         w += params.b1
         w *= c
-        _ck_steps(w, c * params.bz, 0.5 * settings.dt, a[:m], real[:, :m],
-                  mask[:m])
-        yield a[:m], w
-        # (a, b) is reduced by now, so b turns into -b* in place
-        yield a[:m], np.negative(np.conjugate(w, out=w), out=w)
-
-    one = (1.0 + 0.0j, 0.0j)
-    return _chunked(n, size, chunk, functools.partial(_mul_ck, tmp=tmp),
-                    levels, (one, one))
+        _ck_steps(w, c * params.bz, 0.5 * settings.dt, a, real[:, :m], mask[:m])
+        plus = mul(_ordered(steps[:, :m], mul, levels), plus)
+        np.negative(np.conjugate(w, out=w), out=w)
+        minus = mul(_ordered(steps[:, :m], mul, levels), minus)
+    return plus, minus
 
 
 # The final pairs of both senses for the last (b1, bz, beta) and grid, keyed by
@@ -440,17 +419,20 @@ def _total_unitary_dense(params, arm, settings):
             + cz[:, None, None] * sz
         )
         phases = np.exp(-1j * w * settings.dt)
-        yield (np.einsum("kij,kj,klj->kil", v, phases, v.conj()),)
+        return np.einsum("kij,kj,klj->kil", v, phases, v.conj())[None]
 
-    eye = np.eye(params.dim, dtype=complex)
+    n = settings.n_steps
     # as many matrix elements per chunk as a spin-3/2 chunk, at any spin
-    size = min(settings.n_steps,
-               max(1, min(CHUNK_STEPS, CHUNK_STEPS * 16 // params.dim ** 2)))
+    size = min(n, max(1, min(CHUNK_STEPS, CHUNK_STEPS * 16 // params.dim ** 2)))
     half = (size + 1) // 2
-    levels = tuple(np.empty((1, n) + eye.shape, complex)
-                   for n in (half, (half + 1) // 2))
-    return _chunked(settings.n_steps, size, chunk, _mul_dense, levels,
-                    ((eye,),))[0][0]
+    levels = tuple(np.empty((1, k, params.dim, params.dim), complex)
+                   for k in (half, (half + 1) // 2))
+    total = np.eye(params.dim, dtype=complex)[None]
+    for start in range(0, n, size):
+        # the chunk is not named, so it is freed before the next is built
+        total = np.matmul(_ordered(chunk(start, min(start + size, n)),
+                                   np.matmul, levels), total)
+    return total[0]
 
 
 def total_unitary(params, arm, settings=PropagationSettings()):

@@ -6,15 +6,19 @@ import pytest
 from geomphase import (
     Circuit,
     OrthogonalStates,
+    PancharatnamReading,
+    PhaseTrace,
     PropagationSettings,
     RefinementDepthExceeded,
     S1,
     S2,
     enclosed_singularity_count,
+    max_oracle_deviation,
     preset_circuit,
     sample_circuit,
     sweep_plane,
     trace_circuit,
+    unwrap_append,
     winding,
     winding_number,
     wrap_angle,
@@ -192,6 +196,38 @@ class TestTraceCircuit:
         oracle = np.array([s.oracle_unwrapped for s in trace.samples])
         assert oracle[0] == 0.0
         assert oracle[-1] == pytest.approx(-TWO_PI, abs=1e-6)
+
+    @pytest.mark.parametrize("two_j, branch, omega_sign", [
+        (1, 0, 1), (1, 1, 1), (1, 0, -1), (1, 1, -1),
+        (2, 0, -1), (2, 1, 1), (2, 2, 1),
+    ])
+    def test_oracle_follows_branch_and_omega_sign(self, two_j, branch, omega_sign):
+        # the adiabatic phase of branch b is omega_sign * (two_j - 2*b) times
+        # half the solid angle, so the oracle closes on the trace's winding
+        circuit, beta = preset_circuit("spqrs")
+        small = Circuit(circuit.vertices, 25, circuit.name)
+        trace = trace_circuit(small, beta, two_j=two_j, settings=FAST,
+                              omega_sign=omega_sign, branch=branch)
+        assert max_oracle_deviation(trace) < 0.05
+        oracle = trace.samples.oracle_unwrapped
+        assert oracle[-1] - oracle[0] == pytest.approx(
+            TWO_PI * winding(trace), abs=1e-6)
+
+    def test_replay_through_unwrap_append_is_bit_identical(self):
+        circuit = Circuit(((0.5, 0.01), (1.5, 0.01), (1.5, -0.01), (0.5, -0.01)), 5)
+        trace = trace_circuit(circuit, beta=2000.0, settings=FAST, refine=True)
+        assert len(trace.samples) > 4 * 5 + 1  # refinement spliced samples in
+        replay = PhaseTrace()
+        for s in trace.samples:
+            unwrap_append(replay, PancharatnamReading(s.modulus_c, s.alpha_wrapped),
+                          b1=s.b1, bz=s.bz, oracle_unwrapped=s.oracle_unwrapped)
+        assert replay.samples.tobytes() == trace.samples.tobytes()
+        # both match the shortest-branch rule applied one sample at a time
+        alphas = trace.samples.alpha_wrapped.tolist()
+        unwrapped = [alphas[0]]
+        for prev, cur in zip(alphas, alphas[1:]):
+            unwrapped.append(unwrapped[-1] + wrap_angle(cur - prev))
+        assert trace.samples.alpha_unwrapped.tolist() == unwrapped
 
     def test_singular_sample_guard(self):
         circuit = Circuit(((1.0, 0.0), (2.0, 1.0), (2.0, -1.0)))

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,22 @@ class TestRun:
         else:
             assert not out.exists()
 
+    @pytest.mark.parametrize("bounds", [
+        ["--b1-min", "inf"],
+        ["--b1-max", "nan"],
+        ["--bz-min=-1e308", "--bz-max", "1e308"],
+    ], ids=["b1-min-inf", "b1-max-nan", "bz-span-overflows"])
+    def test_sweep_range_checked_before_the_grid(self, bounds, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            # np.linspace warns on such ranges before any point is checked
+            warnings.simplefilter("error")
+            assert main(["sweep", *SMALL_SWEEP, *bounds, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("geomphase: error: ") and " range " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("points_per_segment", True),
         ("vertices", [[True, 1.0], [1.5, 1.0], [1.5, -1.0], [0.5, -1.0]]),
@@ -464,6 +481,13 @@ class TestCsvWriter:
         lines = text.splitlines()
         assert lines[0] == TRACE_CSV_HEADER
         assert lines[1].endswith(",")  # oracle column empty, no padding
+
+    def test_json_omits_missing_oracle(self):
+        trace = PhaseTrace()
+        unwrap_append(trace, PancharatnamReading(2.0, 0.5), b1=0.1, bz=0.2)
+        (sample,) = json.loads(_trace_table(trace, "json"))["samples"]
+        assert sample == {"index": 0, "b1": 0.1, "bz": 0.2, "c": 2.0,
+                          "alpha_wrapped": 0.5, "alpha_unwrapped": 0.5}
 
 
 class TestRegressionFixture:

@@ -15,6 +15,7 @@ from geomphase import (
     sample_circuit,
     solid_angle,
     string_pierces_loop,
+    unwrap_solid_angles,
     winding_number,
 )
 from geomphase.circuits import Circuit, preset_circuit
@@ -186,6 +187,32 @@ class TestOracleTrace:
             )
             assert abs(turns - round(turns)) < 1e-4
             assert round(turns) == expected, verts
+
+
+def unwrap_loop(omegas):
+    """The shortest-branch rule of period 4*pi, one step at a time."""
+    out = [omegas[0]]
+    for prev, cur in zip(omegas, omegas[1:]):
+        step = cur - prev
+        step -= FOUR_PI * np.floor(step / FOUR_PI + 0.5)
+        out.append(out[-1] + step)
+    return np.array(out)
+
+
+class TestUnwrapSolidAngles:
+    def test_matches_scalar_loop_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        jumps = 0
+        for _ in range(50):
+            walk = np.cumsum(rng.normal(size=rng.integers(2, 200)))
+            # wrapped into [-2*pi, 2*pi), so the walk jumps by 4*pi at the edges
+            omegas = (walk + TWO_PI) % FOUR_PI - TWO_PI
+            jumps += int(np.sum(np.abs(np.diff(omegas)) > TWO_PI))
+            unwrapped = unwrap_solid_angles(omegas)
+            assert unwrapped.tobytes() == unwrap_loop(omegas).tobytes()
+            np.testing.assert_allclose(unwrapped - unwrapped[0],
+                                       walk - walk[0], atol=1e-9)
+        assert jumps > 50
 
 
 class TestAbPhase:
