@@ -58,6 +58,9 @@ class Circuit:
         for a, b in zip(verts, verts[1:] + verts[:1]):
             if a == b:
                 raise ValueError(f"consecutive vertices coincide at {a}")
+            # Python floats overflow to inf without a warning
+            if not all(math.isfinite(q - p) for p, q in zip(a, b)):
+                raise ValueError(f"the span of the segment from {a} to {b} overflows")
 
     def reversed(self):
         return Circuit(self.vertices[::-1], self.points_per_segment, self.name)
@@ -124,54 +127,68 @@ def sample_circuit(circuit):
     return np.concatenate((legs.reshape(-1, 2), starts[0]))
 
 
-def _arm_states(point, beta, two_j, omega_sign, settings, branch):
-    """Final states of the PLUS and MINUS arms at one parameter point."""
-    params = spinsys.FieldParams(point[0], point[1], beta, two_j, omega_sign)
-    psi0 = spinsys.initial_state(params, branch)
-    return [
-        spinsys.total_unitary(params, arm, settings) @ psi0
-        for arm in (spinsys.ArmSense.PLUS, spinsys.ArmSense.MINUS)
-    ]
+def _readings(points, beta, two_j, omega_sign, settings, branch):
+    """Readings (c, alpha) at the rows (b1, bz) of points, as two arrays;
+    alpha is NaN where phase.reading finds the arm states orthogonal."""
+    readings = np.empty((len(points), 2))
+    for k, (b1, bz) in enumerate(points):
+        params = spinsys.FieldParams(b1, bz, beta, two_j, omega_sign)
+        psi0 = spinsys.initial_state(params, branch)
+        psi1, psi2 = (spinsys.total_unitary(params, arm, settings) @ psi0
+                      for arm in spinsys.ArmSense)  # PLUS, then MINUS
+        readings[k] = phase.reading(np.vdot(psi2, psi1))
+    return readings.T
 
 
-def _refine_between(p0, r0, p1, r1, evaluate, depth, base_index):
-    """Bisect the parameter segment until the wrapped step is tame.
-
-    Returns the list of (point, reading) pairs strictly between p0 and p1.
-    """
-    if abs(phase.wrap_angle(r1.alpha_wrapped - r0.alpha_wrapped)) <= REFINE_TRIGGER:
-        return []
-    if depth >= REFINE_MAX_DEPTH:
-        raise RefinementDepthExceeded(
-            f"wrapped phase still jumps after depth {REFINE_MAX_DEPTH} "
-            f"bisection between ({p0[0]:.6g}, {p0[1]:.6g}) and "
-            f"({p1[0]:.6g}, {p1[1]:.6g})",
-            sample_index=base_index,
-        )
-    pm = 0.5 * (np.asarray(p0) + np.asarray(p1))
-    rm = evaluate(pm)
-    left = _refine_between(p0, r0, pm, rm, evaluate, depth + 1, base_index)
-    right = _refine_between(pm, rm, p1, r1, evaluate, depth + 1, base_index)
-    return left + [(pm, rm)] + right
+def _require_defined(points, alpha, at_samples):
+    """Raise OrthogonalStates at the first point whose phase is undefined,
+    named as a trace sample or as a refined point."""
+    if np.isnan(alpha).any():
+        k = int(np.argmax(np.isnan(alpha)))
+        where = f"sample {k}" if at_samples else "refined point"
+        raise OrthogonalStates(
+            f"arm states orthogonal at {where} "
+            f"(b1={points[k, 0]:.6g}, bz={points[k, 1]:.6g})",
+            sample_index=k if at_samples else None)
 
 
-def trace_circuit(
-    circuit,
-    beta,
-    two_j=1,
-    settings=spinsys.PropagationSettings(),
-    refine=False,
-    omega_sign=1,
-    branch=0,
-):
+def _refine(points, c, alpha, args):
+    """The columns (points, c, alpha) with midpoints spliced in, one depth at
+    a time, between all adjacent points whose wrapped phase step exceeds
+    REFINE_TRIGGER; a depth's midpoints are read at once, by _readings."""
+    origin = np.arange(len(points))  # the sample each point descends from
+    for depth in range(REFINE_MAX_DEPTH + 1):
+        steps = np.abs(phase.wrap_angle(np.diff(alpha)))
+        jumps = np.flatnonzero(steps > REFINE_TRIGGER)
+        if not jumps.size:
+            break
+        if depth == REFINE_MAX_DEPTH:
+            (b0, z0), (b1, z1) = points[jumps[0]], points[jumps[0] + 1]
+            raise RefinementDepthExceeded(
+                f"wrapped phase still jumps after depth {REFINE_MAX_DEPTH} "
+                f"bisection between ({b0:.6g}, {z0:.6g}) and ({b1:.6g}, {z1:.6g})",
+                sample_index=int(origin[jumps[0]]))
+        mid = 0.5 * (points[jumps] + points[jumps + 1])
+        mid_c, mid_alpha = _readings(mid, *args)
+        _require_defined(mid, mid_alpha, at_samples=False)
+        at = jumps + 1
+        points = np.insert(points, at, mid, axis=0)
+        c, alpha, origin = (np.insert(column, at, new) for column, new in
+                            ((c, mid_c), (alpha, mid_alpha), (origin, origin[jumps])))
+    return points, c, alpha
+
+
+def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings(),
+                  refine=False, omega_sign=1, branch=0):
     """Drive a circuit: simulate both arms at every sample and unwrap.
 
     Returns a PhaseTrace whose samples carry the interference modulus, the
     wrapped and unwrapped phase, and the solid-angle oracle prediction for
     the starting branch and omega_sign (the unwrapped phase starts at its
-    first wrapped value, the oracle at zero).  With refine=True, any
-    consecutive pair whose wrapped-phase step exceeds pi/2 is recursively
-    bisected (depth <= 8) and the extra samples are spliced in.
+    first wrapped value, the oracle at zero).  With refine=True, every
+    consecutive pair whose wrapped-phase step exceeds pi/2 is bisected, one
+    depth at a time (depth <= 8), and the midpoints are spliced in; where
+    several refined points fail, the depth order picks the one reported.
     """
     samples = sample_circuit(circuit)
     gaps = [np.hypot(*(samples - s).T) for s in SINGULAR_POINTS]
@@ -185,44 +202,21 @@ def trace_circuit(
             sample_index=k,
         )
 
-    def evaluate(point, k=None):
-        try:
-            return phase.pancharatnam(
-                *_arm_states(point, beta, two_j, omega_sign, settings, branch)
-            )
-        except OrthogonalStates as exc:
-            where = "refined point" if k is None else f"sample {k}"
-            raise OrthogonalStates(
-                f"arm states orthogonal at {where} "
-                f"(b1={point[0]:.6g}, bz={point[1]:.6g})",
-                sample_index=k,
-            ) from exc
-
-    pairs = [(point, evaluate(point, k)) for k, point in enumerate(samples)]
+    args = (beta, two_j, omega_sign, settings, branch)
+    points = samples
+    c, alpha = _readings(points, *args)
+    _require_defined(points, alpha, at_samples=True)
     if refine:
-        refined = pairs[:1]
-        for k, (first, second) in enumerate(zip(pairs, pairs[1:])):
-            refined += _refine_between(*first, *second, evaluate, 0, k) + [second]
-        pairs = refined
-
-    points = np.array([p for p, _ in pairs])
-    c, alpha = np.array([(r.modulus_c, r.alpha_wrapped) for _, r in pairs]).T
+        points, c, alpha = _refine(points, c, alpha, args)
     oracle = geometry.oracle_phase_trace(points, omega_sign * (two_j - 2 * branch))
     return phase.PhaseTrace.from_readings(
         points[:, 0], points[:, 1], c, alpha, oracle,
         metadata=TraceMetadata(
-            beta=beta,
-            two_j=two_j,
-            omega_sign=omega_sign,
-            branch=branch,
-            n_steps=settings.n_steps,
-            sampling_rule=settings.sampling_rule,
-            exp_method=settings.exp_method,
-            circuit_name=circuit.name,
-            vertices=circuit.vertices,
-            points_per_segment=circuit.points_per_segment,
-            refine=refine,
-        ),
+            beta=beta, two_j=two_j, omega_sign=omega_sign, branch=branch,
+            n_steps=settings.n_steps, sampling_rule=settings.sampling_rule,
+            exp_method=settings.exp_method, circuit_name=circuit.name,
+            vertices=circuit.vertices, points_per_segment=circuit.points_per_segment,
+            refine=refine),
     )
 
 
@@ -262,16 +256,8 @@ def enclosed_singularity_count(circuit):
     )
 
 
-def sweep_plane(
-    b1_range,
-    bz_range,
-    grid,
-    beta,
-    two_j=1,
-    settings=spinsys.PropagationSettings(),
-    omega_sign=1,
-    branch=0,
-):
+def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
+                settings=spinsys.PropagationSettings(), omega_sign=1, branch=0):
     """Pancharatnam readings over an (nx, ny) grid of parameter points.
 
     Grid cells where the two arm states come out orthogonal keep their
@@ -287,15 +273,8 @@ def sweep_plane(
                              "and a finite span")
     b1s = np.linspace(b1_range[0], b1_range[1], nx)
     bzs = np.linspace(bz_range[0], bz_range[1], ny)
-    cs, alphas = [], []
-    for bz in bzs:
-        for b1 in b1s:
-            psi1, psi2 = _arm_states(
-                (b1, bz), beta, two_j, omega_sign, settings, branch
-            )
-            overlap = np.vdot(psi2, psi1)
-            cs.append(2.0 * abs(overlap))
-            defined = abs(overlap) >= phase.ORTHOGONALITY_TOL
-            alphas.append(float(np.angle(overlap)) if defined else np.nan)
+    # cells row-major in bz: b1 varies fastest
+    cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
+    c, alpha = _readings(cells, beta, two_j, omega_sign, settings, branch)
     shape = (ny, nx)
-    return SweepResult(b1s, bzs, np.reshape(cs, shape), np.reshape(alphas, shape))
+    return SweepResult(b1s, bzs, c.reshape(shape), alpha.reshape(shape))

@@ -212,15 +212,13 @@ def ab_phase(loop, scene):
     return scene.strength_g * solid_angle(loop)
 
 
-def _string_disk_distance(b1, bz, direction):
-    """Distance from the string-ray/loop-plane intersection to the loop
-    center, or None when the open ray misses the plane z = bz."""
-    dz = direction[2]
-    if dz == 0.0 or bz / dz <= 0.0:
-        return None
-    t = bz / dz
-    hit = t * np.asarray(direction, dtype=float)
-    return float(np.hypot(hit[0] - b1, hit[1]))
+def _string_disk_distances(b1, bz, direction):
+    """Distances from the centers (b1, 0, bz) of loops to the points where
+    the string ray t * direction, t > 0, meets their planes z = bz; inf
+    where the open ray misses the plane.  b1 and bz may be arrays."""
+    dx, dy, dz = (float(x) for x in direction)
+    t = np.asarray(bz, dtype=float) / (dz or np.inf)  # dz = 0 never meets
+    return np.where(t > 0.0, np.hypot(t * dx - b1, t * dy), np.inf)
 
 
 def string_pierces_loop(loop, scene):
@@ -230,9 +228,7 @@ def string_pierces_loop(loop, scene):
     StringOnBoundary when the ray meets the loop circle itself (within
     1e-9), where the flux jump location is ambiguous.
     """
-    d = _string_disk_distance(loop.b1, loop.bz, scene.string_direction)
-    if d is None:
-        return False
+    d = float(_string_disk_distances(loop.b1, loop.bz, scene.string_direction))
     if abs(d - 1.0) < 1e-9:
         raise StringOnBoundary(
             f"string ray meets the loop rim at (b1={loop.b1}, bz={loop.bz})"
@@ -257,37 +253,28 @@ def monopole_transport_trace(circuit_samples, scene):
     if scene.string_thickness == 0.0:
         return phases
 
-    pierced = np.empty(len(circuit_samples), dtype=bool)
-    for k, (b1, bz) in enumerate(circuit_samples):
-        d = _string_disk_distance(b1, bz, scene.string_direction)
-        # rim contact is unambiguous for a finite tube: partially threaded
-        pierced[k] = d is not None and d <= 1.0 + 1e-9
+    b1, bz = np.asarray(circuit_samples, dtype=float).T
+    # rim contact is unambiguous for a finite tube: partially threaded
+    pierced = _string_disk_distances(b1, bz, scene.string_direction) <= 1.0 + 1e-9
+    # first and last sample of the pierced run through each pierced sample
+    k = np.arange(len(phases))
+    first = np.maximum.accumulate(np.where(pierced, 0, k + 1))
+    last = np.minimum.accumulate(np.where(pierced, k[-1], k - 1)[::-1])[::-1]
     # one branch transition of Omega per threading of the string; ramp the
-    # compensating jump across the piercing run adjacent to each transition
+    # compensating jump across the piercing run adjacent to each transition,
+    # or across its own step where neither end is pierced
     branch = np.round((unwrapped - np.asarray(omegas)) / FOUR_PI).astype(int)
-    correction = np.zeros(len(phases))
-    for k in np.flatnonzero(np.diff(branch)):
-        jump = -g * FOUR_PI * (branch[k + 1] - branch[k])
-        run = _adjacent_run(pierced, k)
-        # the ramp rises after the run's first sample, except from sample
-        # 0: the trace is measured from it, so it stays at zero
-        first = 0 if run[0] == 0 else 1
-        ramp = np.linspace(0.0, jump, len(run) + first)[first:]
-        correction[run[0] : run[-1] + 1] += ramp
-        correction[run[-1] + 1 :] += jump
-    return phases + correction
-
-
-def _adjacent_run(pierced, k):
-    """Indices of the contiguous pierced run touching the step k -> k+1."""
-    n = len(pierced)
-    if pierced[k] or pierced[k + 1]:
-        start = k + 1 if not pierced[k] else k
-        while start > 0 and pierced[start - 1]:
-            start -= 1
-        end = k if not pierced[k + 1] else k + 1
-        while end + 1 < n and pierced[end + 1]:
-            end += 1
-        return list(range(start, end + 1))
-    # no adjacent piercing samples: apply the jump across the step itself
-    return [k, k + 1]
+    steps = np.flatnonzero(np.diff(branch))
+    jumps = (-g * FOUR_PI * np.diff(branch)[steps])[:, None]
+    at = np.where(pierced[steps], steps, steps + 1)
+    lo = np.where(pierced[at], first[at], steps)[:, None]
+    hi = np.where(pierced[at], last[at], steps + 1)[:, None]
+    # transition t adds 0 before its run, np.linspace(0, jump, end + 1)[q] at
+    # ramp position q, and jump after it; the ramp rises after the run's first
+    # sample, except from sample 0, from which the trace is measured
+    rise = (lo > 0).astype(int)
+    q, end = k - lo + rise, hi - lo + rise
+    rows = np.where(q >= end, jumps, np.maximum(q, 0) * (jumps / np.maximum(end, 1)))
+    rows[:, 0] = 0.0
+    # the threadings add up in order, from zero
+    return phases + np.add.accumulate(np.vstack((np.zeros(len(k)), rows)))[-1]

@@ -53,6 +53,10 @@ SAMPLING_RULES = ("left_endpoint", "midpoint")
 EXP_METHODS = ("auto", "eigendecomposition")
 # Steps per chunk; the default path's step grid takes 0.5 MiB.
 CHUNK_STEPS = 2 ** 15
+# Bounds on the work one point may ask for: 100 times the 10**6 steps of the
+# benchmark's longest cycle, and a spin whose 500-step point takes ~10 ms.
+MAX_STEPS = 10 ** 8
+MAX_TWO_J = 100
 
 
 class ArmSense(IntEnum):
@@ -67,8 +71,9 @@ class FieldParams:
     """Dimensionless field-cycle parameters.
 
     b1, bz are the static field offsets in units of the rotating amplitude,
-    beta is the adiabaticity parameter, two_j = 2J selects the spin, and
-    omega_sign picks the sign in omega * T = +-pi.
+    beta is the adiabaticity parameter, two_j = 2J <= MAX_TWO_J selects the
+    spin, and omega_sign picks the sign in omega * T = +-pi.  A field scale
+    or start field that overflows when squared is rejected.
     """
 
     b1: float
@@ -85,13 +90,18 @@ class FieldParams:
             )
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        # the square bounds |v|^2 and every other intermediate of propagation
-        scale = 2.0 * float(self.beta) * (abs(float(self.b1)) + 1 + abs(float(self.bz)))
+        # the squares bound |v|^2, every other intermediate of propagation and
+        # the start field's squared norm
+        reach = abs(float(self.b1)) + 1 + abs(float(self.bz))
+        scale = 2.0 * float(self.beta) * reach
         if not math.isfinite(scale * scale):
             raise ValueError(f"beta={self.beta} is too large for b1={self.b1}, "
                              f"bz={self.bz}: (2*beta*(|b1|+1+|bz|))**2 overflows")
-        if int(self.two_j) != self.two_j or self.two_j < 1:
-            raise ValueError(f"two_j must be a positive integer, got {self.two_j}")
+        if not math.isfinite(reach * reach):
+            raise ValueError(f"the start field overflows at b1={self.b1}, bz={self.bz}")
+        if int(self.two_j) != self.two_j or not 1 <= self.two_j <= MAX_TWO_J:
+            raise ValueError(f"two_j must be an integer in [1, {MAX_TWO_J}], "
+                             f"got {self.two_j}")
         if self.omega_sign not in (1, -1):
             raise ValueError(f"omega_sign must be +1 or -1, got {self.omega_sign}")
         object.__setattr__(self, "two_j", int(self.two_j))
@@ -108,15 +118,16 @@ class FieldParams:
 
 @dataclass(frozen=True)
 class PropagationSettings:
-    """Discretization of the time-ordered propagator over [0, T]."""
+    """Discretization of the time-ordered propagator over [0, T] into
+    n_steps steps, 1 <= n_steps <= MAX_STEPS."""
 
     n_steps: int = 20000
     sampling_rule: str = "left_endpoint"
     exp_method: str = "auto"
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not 1 <= self.n_steps <= MAX_STEPS:
+            raise ValueError(f"n_steps must be in [1, {MAX_STEPS}], got {self.n_steps}")
         if self.sampling_rule not in SAMPLING_RULES:
             raise ValueError(f"unknown sampling_rule {self.sampling_rule!r}")
         if self.exp_method not in EXP_METHODS:

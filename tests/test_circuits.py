@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from geomphase import (
+    ArmSense,
     Circuit,
+    FieldParams,
     OrthogonalStates,
     PancharatnamReading,
     PhaseTrace,
@@ -13,7 +15,10 @@ from geomphase import (
     S1,
     S2,
     enclosed_singularity_count,
+    evolve_arm,
     max_oracle_deviation,
+    oracle_phase_trace,
+    pancharatnam,
     preset_circuit,
     sample_circuit,
     sweep_plane,
@@ -27,6 +32,10 @@ from geomphase import (
 TWO_PI = 2.0 * np.pi
 
 FAST = PropagationSettings(n_steps=4000)
+
+# passes 0.0026 from the phase zero near (-1, 0) at beta 20; refines at spin-3/2
+HEXAGON = ((-0.918919, -0.516197), (-1.049256, 0.5202), (-1.393861, 0.514703),
+           (-1.601602, 0.002121), (-1.771431, -0.073636), (-1.383063, -0.586076))
 
 
 class TestPresets:
@@ -228,6 +237,15 @@ class TestTraceCircuit:
         for prev, cur in zip(alphas, alphas[1:]):
             unwrapped.append(unwrapped[-1] + wrap_angle(cur - prev))
         assert trace.samples.alpha_unwrapped.tolist() == unwrapped
+        # a long seeded sequence whose steps cross +-pi
+        rng = np.random.default_rng(3)
+        alphas = wrap_angle(np.cumsum(rng.uniform(-3.0, 3.0, 4000)))
+        cs, b1s, bzs = rng.uniform(0.0, 2.0, (3, 4000))
+        long = PhaseTrace()
+        for c, alpha, b1, bz in zip(cs, alphas, b1s, bzs):
+            unwrap_append(long, PancharatnamReading(c, alpha), b1=b1, bz=bz)
+        reference = PhaseTrace.from_readings(b1s, bzs, cs, alphas)
+        assert long.samples.tobytes() == reference.samples.tobytes()
 
     def test_singular_sample_guard(self):
         circuit = Circuit(((1.0, 0.0), (2.0, 1.0), (2.0, -1.0)))
@@ -248,6 +266,43 @@ class TestTraceCircuit:
         ]
         assert max(wrapped_steps) <= np.pi / 2 + 1e-12
         assert winding(refined) == -1
+
+    @pytest.mark.parametrize("vertices, pps, beta, two_j, settings", [
+        (((0.5, 0.01), (1.5, 0.01), (1.5, -0.01), (0.5, -0.01)), 5, 2000.0, 1, FAST),
+        # 22 midpoints over 6 depths, up to 4 pairs per depth
+        (((0.5, 0.01), (1.5, 0.01), (1.5, -0.01), (0.5, -0.01)), 5, 2000.0, 3, FAST),
+        (HEXAGON, 60, 20.0, 3, PropagationSettings(500)),
+    ], ids=["rectangle", "rectangle-spin-3/2", "hexagon-spin-3/2"])
+    def test_refinement_matches_recursive_bisection(self, vertices, pps, beta,
+                                                    two_j, settings):
+        # depth-first recursive bisection, one point at a time, inserts the
+        # same points with the same bits as refinement one depth at a time
+        def read(point):
+            params = FieldParams(*point, beta, two_j)
+            psi1, psi2 = (evolve_arm(params, arm, settings)[1] for arm in ArmSense)
+            r = pancharatnam(psi1, psi2)
+            return point, (r.modulus_c, r.alpha_wrapped)
+
+        def between(p0, r0, p1, r1, depth=0):
+            if abs(wrap_angle(r1[1] - r0[1])) <= np.pi / 2:
+                return []
+            assert depth < 8
+            pm, rm = read(0.5 * (p0 + p1))
+            return between(p0, r0, pm, rm, depth + 1) + [(pm, rm)] + between(
+                pm, rm, p1, r1, depth + 1)
+
+        circuit = Circuit(vertices, pps)
+        pairs = [read(p) for p in sample_circuit(circuit)]
+        spliced = pairs[:1]
+        for first, second in zip(pairs, pairs[1:]):
+            spliced += between(*first, *second) + [second]
+        assert len(spliced) > len(pairs)
+        points = np.array([p for p, _ in spliced])
+        c, alpha = np.array([r for _, r in spliced]).T
+        expected = PhaseTrace.from_readings(
+            points[:, 0], points[:, 1], c, alpha, oracle_phase_trace(points, two_j))
+        trace = trace_circuit(circuit, beta, two_j, settings, refine=True)
+        assert trace.samples.tobytes() == expected.samples.tobytes()
 
     def test_refinement_depth_exceeded_near_singularity(self):
         # a segment passing within 1e-5 of the degeneracy keeps a ~pi jump
@@ -316,6 +371,19 @@ class TestSweep:
         )
         assert np.isnan(result.alpha_wrapped).all()
         np.testing.assert_allclose(result.modulus_c, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("two_j", [1, 3])
+    def test_cells_read_like_trace_samples(self, two_j):
+        # the sweep's cells and a circuit through the same points go through
+        # one reading path: bit-identical c and alpha
+        settings = PropagationSettings(500)
+        result = sweep_plane((0.6, 1.3), (-0.2, 0.3), (2, 2), 30.0, two_j, settings)
+        circuit = Circuit(((0.6, -0.2), (1.3, -0.2), (1.3, 0.3), (0.6, 0.3)), 1)
+        samples = trace_circuit(circuit, 30.0, two_j, settings).samples[:4]
+        order = [0, 1, 3, 2]  # row-major cells in traversal order
+        for name in ("modulus_c", "alpha_wrapped"):
+            cells = getattr(result, name).ravel()[order]
+            assert samples[name].tolist() == cells.tolist()
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

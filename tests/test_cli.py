@@ -383,6 +383,10 @@ class TestRun:
                      "out.csv", id="sweep --two-j huge"),
         pytest.param(["simulate", "--circuit", "spqrs", "--steps", "9" * 401],
                      "out.csv", id="simulate --steps huge"),
+        # above MAX_STEPS and MAX_TWO_J: ran for minutes before the caps
+        (["simulate", "--circuit", "spqrs", "--steps", "100000001"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--two-j", "101"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--steps", "10", "--two-j", "3000"], "out.csv"),
     ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else v)
     def test_invalid_input_exits_2_without_output(self, argv, out_name, tmp_path,
                                                   capsys):
@@ -396,6 +400,27 @@ class TestRun:
             assert "--out names a directory" in err  # not [Errno 21] at the write
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("vertices, beta", [
+        # the start field's squared norm overflows: was exit 0 from an
+        # arbitrary start state, after an overflow warning
+        ([[1e308, -1e-7], [0.5, 0.5], [0.5, -0.5]], "1e-300"),
+        # a segment whose span overflows: was exit 2 naming b1=nan, after
+        # two warnings
+        ([[-1e308, 0.2], [1e308, 1e-300], [0.5, -0.5]], "1"),
+    ], ids=["start-field", "segment-span"])
+    def test_overflowing_circuit_exits_2_without_warning(self, vertices, beta,
+                                                         tmp_path, capsys):
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps({"vertices": vertices, "points_per_segment": 3}))
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--circuit", str(path), "--beta", beta,
+                         "--steps", "7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("geomphase: error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("bounds", [
         ["--b1-min", "inf"],

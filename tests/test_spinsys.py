@@ -21,7 +21,8 @@ from geomphase import (
     total_unitary,
 )
 from geomphase import spinsys
-from geomphase.spinsys import CHUNK_STEPS, EXP_METHODS, SAMPLING_RULES
+from geomphase.spinsys import (CHUNK_STEPS, EXP_METHODS, MAX_STEPS, MAX_TWO_J,
+                               SAMPLING_RULES)
 
 SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -192,6 +193,21 @@ class TestSettingsValidation:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             PropagationSettings(n_steps=0)
+
+    def test_work_caps(self):
+        assert PropagationSettings(n_steps=MAX_STEPS).n_steps == MAX_STEPS
+        with pytest.raises(ValueError, match="n_steps"):
+            PropagationSettings(n_steps=MAX_STEPS + 1)
+        assert FieldParams(0.5, 0.0, 1.0, two_j=MAX_TWO_J).dim == MAX_TWO_J + 1
+        with pytest.raises(ValueError, match="two_j"):
+            FieldParams(0.5, 0.0, 1.0, two_j=MAX_TWO_J + 1)
+
+    def test_rejects_overflowing_start_field(self):
+        # the field scale beta*(|b1|+1+|bz|) is tiny, its start field is not
+        FieldParams(1e154, 0.0, 1e-300)
+        for b1, bz in ((1e308, -1e-7), (0.0, -1e160), (-1e155, 1e155)):
+            with pytest.raises(ValueError, match="start field"):
+                FieldParams(b1, bz, 1e-300)
 
     def test_branch_out_of_range(self):
         with pytest.raises(ValueError):
