@@ -129,15 +129,20 @@ def sample_circuit(circuit):
 
 def _readings(points, beta, two_j, omega_sign, settings, branch):
     """Readings (c, alpha) at the rows (b1, bz) of points, as two arrays;
-    alpha is NaN where phase.reading finds the arm states orthogonal."""
-    readings = np.empty((len(points), 2))
-    for k, (b1, bz) in enumerate(points):
-        params = spinsys.FieldParams(b1, bz, beta, two_j, omega_sign)
-        psi0 = spinsys.initial_state(params, branch)
-        psi1, psi2 = (spinsys.total_unitary(params, arm, settings) @ psi0
-                      for arm in spinsys.ArmSense)  # PLUS, then MINUS
-        readings[k] = phase.reading(np.vdot(psi2, psi1))
-    return readings.T
+    alpha is NaN where phase.reading finds the arm states orthogonal.  The
+    points are propagated a block at a time, then read one by one."""
+    overlaps = np.empty(len(points), complex)
+    size = spinsys.block_points(two_j, settings.n_steps)
+    for start in range(0, len(points), size):
+        block = [spinsys.FieldParams(b1, bz, beta, two_j, omega_sign)
+                 for b1, bz in points[start:start + size]]
+        spinsys.propagate_block(block, settings)
+        states = spinsys.initial_states(block, branch)
+        for k, (params, psi0) in enumerate(zip(block, states), start):
+            psi1, psi2 = (spinsys.total_unitary(params, arm, settings) @ psi0
+                          for arm in spinsys.ArmSense)  # PLUS, then MINUS
+            overlaps[k] = np.vdot(psi2, psi1)
+    return phase.reading(overlaps)
 
 
 def _require_defined(points, alpha, at_samples):

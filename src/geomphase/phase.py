@@ -86,10 +86,16 @@ class PhaseTrace:
 
 
 def reading(overlap):
-    """(c, alpha) of the interference term 2*overlap, overlap = <psi2|psi1>;
-    alpha is NaN where the states are orthogonal and it is undefined."""
-    mag = abs(overlap)
-    return 2.0 * mag, float(np.angle(overlap)) if mag >= ORTHOGONALITY_TOL else np.nan
+    """(c, alpha) of the interference term 2*overlap, overlap = <psi2|psi1>,
+    for one overlap or an array of them; alpha is NaN where the states are
+    orthogonal and it is undefined."""
+    z = np.asarray(overlap)
+    # np.hypot rounds like abs() of one complex number; np.abs may not
+    mag = np.hypot(z.real, z.imag)
+    alpha = np.where(mag >= ORTHOGONALITY_TOL, np.angle(z), np.nan)
+    if z.ndim == 0:
+        return 2.0 * float(mag), float(alpha)
+    return 2.0 * mag, alpha
 
 
 def pancharatnam(psi1, psi2):

@@ -21,25 +21,33 @@ Euclidean norm; no wrapper class is used.
 Propagation multiplies n_steps short-time unitaries U_k = exp(-i H(t_k) dt)
 in time order.  Each exp_method has a chunk loop that builds the steps of a
 chunk of CHUNK_STEPS (fewer for dense matrices above spin-3/2) as one array
-whose axis 1 is time; the one pairwise reducer, _ordered, multiplies them in
-time order onto a running product, so memory stays bounded for any n_steps
-and spin.  H(t) lies in su(2), so by default ("auto") each step is the
-Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]], a column
-of a (2, m) array, with cos and sin of its angle taken from one tan of the
-half angle.  e^{-i t_k} over one chunk is cached per grid.  The two arms see
-B_y of opposite sign, so one arm's steps are (a, b) and the other's
-(a, -b*): the first arm of a point builds each chunk's steps once, reduces
-them, flips b in place and reduces them again, and keeps both final pairs
-for the other arm.  Steps and reduction levels are written into buffers kept
-per chunk length and reused by every point (the module is single-threaded),
-so the loop allocates nothing.  The final pair is the 2x2 propagator; its
-spin-J lift equals the dimension-N step product exactly.
+whose time axis is axis 1; the one pairwise reducer, _ordered, multiplies
+them in time order onto a running product, so memory stays bounded for any
+n_steps and spin.  H(t) lies in su(2), so by default ("auto") each step is
+the Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]], with
+cos and sin of its angle taken from one tan of the half angle.  e^{-i t_k}
+over one chunk is cached per grid.  The default method propagates a block of
+points at once: block_points(two_j, n_steps) of them, so a block holds at
+most CHUNK_STEPS steps (one point, chunked, past CHUNK_STEPS/2 steps) and
+its matrices at most CHUNK_STEPS elements.  A block's steps are one
+(2, points, steps) array.  The two arms see B_y of opposite sign, so one
+arm's steps are (a, b) and the other's (a, -b*): propagate_block builds each
+chunk's steps once, reduces them, flips b in place and reduces them again.
+Steps and reduction levels are written into buffers kept per block shape
+and reused (the module is single-threaded), so the chunk loop allocates no
+array of the chunk's size.
+The final pairs are the 2x2 propagators; their spin-J lifts, which equal the
+dimension-N step products exactly, come from one stacked eigh and are kept
+for total_unitary, which reads each point's arms from them and propagates a
+point alone only when no block held it.
 "eigendecomposition" exponentiates the dense spin-J Hamiltonian at each
-step instead, an independent check, and reduces (1, m, N, N) steps.
+step instead, an independent check, point by point, and reduces
+(1, m, N, N) steps.
 """
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -83,7 +91,7 @@ class FieldParams:
     omega_sign: int = 1
 
     def __post_init__(self):
-        if not np.isfinite([self.b1, self.bz, self.beta]).all():
+        if not all(map(math.isfinite, (self.b1, self.bz, self.beta))):
             raise ValueError(
                 f"b1, bz and beta must be finite, got "
                 f"b1={self.b1}, bz={self.bz}, beta={self.beta}"
@@ -138,11 +146,13 @@ class PropagationSettings:
         return T_TOTAL / self.n_steps
 
 
+@functools.lru_cache(maxsize=16)
 def spin_matrices(two_j):
     """Angular-momentum matrices (Sx, Sy, Sz) for spin J = two_j / 2.
 
     Basis ordering is m = J, J-1, ..., -J, so Sz is diagonal with a
     descending spectrum, Sx and Sz are real and Sy is purely imaginary.
+    The matrices are built once per two_j and are read-only.
     """
     if int(two_j) != two_j or two_j < 1:
         raise ValueError(f"two_j must be a positive integer, got {two_j}")
@@ -156,6 +166,8 @@ def spin_matrices(two_j):
     sx = 0.5 * (sp + sp.conj().T)
     sy = -0.5j * (sp - sp.conj().T)
     sz = np.diag(m).astype(complex)
+    for s in (sx, sy, sz):
+        s.flags.writeable = False
     return sx, sy, sz
 
 
@@ -185,25 +197,41 @@ def initial_state(params, branch=0):
     positive.  H(0) is real symmetric, so the result is a real vector.
     Raises DegenerateStart when the t=0 field vanishes.
     """
-    if not 0 <= branch <= params.two_j:
-        raise ValueError(f"branch must be in [0, {params.two_j}], got {branch}")
-    field = np.array([params.b1 + 1.0, 0.0, params.bz])
-    norm = np.linalg.norm(field)
-    if norm < 1e-12:
-        raise DegenerateStart(
-            f"field at t=0 vanishes for b1={params.b1}, bz={params.bz}"
-        )
+    return initial_states([params], branch)[0]
+
+
+def _block_spin(params):
+    """The two_j that a block of FieldParams shares."""
+    two_j = params[0].two_j
+    if any(p.two_j != two_j for p in params):
+        raise ValueError("the points of a block must share two_j")
+    return two_j
+
+
+def initial_states(params, branch=0):
+    """The initial_state of each of a sequence of FieldParams sharing two_j,
+    one row per point, from one stacked eigh; DegenerateStart names the
+    first point whose t=0 field vanishes."""
+    two_j = _block_spin(params)
+    if not 0 <= branch <= two_j:
+        raise ValueError(f"branch must be in [0, {two_j}], got {branch}")
+    field = np.array([(p.b1 + 1.0, 0.0, p.bz) for p in params])
+    # each row's squared norm is one dot product, as np.linalg.norm takes it
+    norm = np.sqrt((field[:, None, :] @ field[:, :, None])[:, 0, 0])
+    degenerate = np.flatnonzero(norm < 1e-12)
+    if degenerate.size:
+        p = params[degenerate[0]]
+        raise DegenerateStart(f"field at t=0 vanishes for b1={p.b1}, bz={p.bz}")
     # Eigenvectors of H(0) = (2*beta*norm) * (nhat . S); using the unit
     # direction keeps the selection well defined even at beta = 0.  H(0) is
-    # real symmetric, so work in real arithmetic and the state comes out
+    # real symmetric, so work in real arithmetic and the states come out
     # exactly real.
-    nhat = field / norm
-    sx, _, sz = spin_matrices(params.two_j)
-    w, vecs = np.linalg.eigh((nhat[0] * sx + nhat[2] * sz).real)
-    psi = vecs[:, branch]
-    k = int(np.argmax(np.abs(psi)))
-    if psi[k] < 0.0:
-        psi = -psi
+    nhat = field / norm[:, None]
+    sx, _, sz = spin_matrices(two_j)
+    _, vecs = np.linalg.eigh((nhat[:, 0, None, None] * sx + nhat[:, 2, None, None] * sz).real)
+    psi = vecs[:, :, branch]
+    flip = psi[np.arange(len(psi)), np.argmax(np.abs(psi), axis=1)] < 0.0
+    psi[flip] = -psi[flip]
     return psi.astype(complex)
 
 
@@ -247,9 +275,9 @@ def step_unitary(H, dt, method="auto"):
 def _ck_steps(w, vz, h, a, real, mask):
     """Pairs (a, b) = (cos phi - i k vz, -i k w) of exp(-i h v.sigma), where
     w = vx - i vy, phi = |v| h and k = sin(phi)/|v|; b overwrites w, a is
-    written to a, and real (four float rows) and mask (a bool row) are
-    scratch as long as w.  |v| is built from w: expanded in the field
-    parameters it cancels near B = 0."""
+    written to a, vz broadcasts against w, and real (four float arrays) and
+    mask (a bool array) are scratch shaped like w.  |v| is built from w:
+    expanded in the field parameters it cancels near B = 0."""
     norm, tau, den, k = real
     np.multiply(w.real, w.real, out=norm)
     np.multiply(w.imag, w.imag, out=tau)
@@ -284,31 +312,51 @@ def _ck_steps(w, vz, h, a, real, mask):
 
 
 def _ck_matrix(a, b):
-    """The SU(2) matrix [[a, b], [-b*, a*]]."""
-    return np.array([[a, b], [-np.conj(b), np.conj(a)]])
+    """The SU(2) matrices [[a, b], [-b*, a*]] of arrays a, b of one shape,
+    stacked on the last two axes."""
+    return np.moveaxis(np.array([[a, b], [-np.conj(b), np.conj(a)]]), (0, 1), (-2, -1))
 
 
 def _mul_ck(later, earlier, out=None, tmp=None):
     """Pair product (a2 a1 - b2 b1*, a2 b1 + b2 a1*), the later factor on the
-    left.  With out, the factors are (2, k) arrays of pairs and the product
-    is written to out with the scratch array tmp; neither may overlap an
-    input.  Without out the factors are pairs of numpy scalars, such as the
-    running total, and so is the product: scalar arithmetic rounds some
-    products differently from the array loop."""
+    left.  With out, the factors are (2, ...) arrays of pairs with time on
+    axis 1 and the product is written to out with the scratch array tmp;
+    neither may overlap an input.  Without out the factors are pairs of
+    numpy scalars, such as a running total, and so is the product: scalar
+    arithmetic rounds each term, where the array loop may fuse a multiply
+    and an add."""
     (a2, b2), (a1, b1) = later, earlier
     if out is None:
         return a2 * a1 - np.conjugate(b1) * b2, a2 * b1 + np.conjugate(a1) * b2
     pa, pb = out
     tmp = tmp[:len(pa)]
     np.conjugate(b1, out=tmp)
-    tmp *= b2
+    _times(tmp, b2)
     np.multiply(a2, a1, out=pa)
     pa -= tmp
     np.conjugate(a1, out=tmp)
-    tmp *= b2
+    _times(tmp, b2)
     np.multiply(a2, b1, out=pb)
     pb += tmp
     return out
+
+
+def _times(x, y):
+    """x *= y for complex arrays whose axis 0 is time.  With one step per
+    point left, each term of (xr yr - xi yi, xr yi + xi yr) is rounded on
+    its own, as numpy rounds an in-place product of one element (its array
+    loop may fuse a multiply and an add): a point's pair then does not
+    depend on the size of its block."""
+    if len(x) > 1:
+        x *= y
+    elif x.size == 1:  # Python floats are faster here, and round alike
+        p, q = x.item(), y.item()
+        x[...] = complex(p.real * q.real - p.imag * q.imag,
+                         p.real * q.imag + p.imag * q.real)
+    else:
+        re = x.real * y.real - x.imag * y.imag
+        x.imag = x.real * y.imag + x.imag * y.real
+        x.real = re
 
 
 def _ordered(steps, mul, levels):
@@ -344,77 +392,128 @@ def _step_grid(n_steps, sampling_rule):
     return grid
 
 
+def block_points(two_j, n_steps):
+    """Points propagated in one block: CHUNK_STEPS // n_steps of them, at
+    most CHUNK_STEPS // (two_j + 1)**2 so that the block's spin-J matrices
+    take no more elements than a chunk takes steps, and at least one."""
+    return max(1, min(CHUNK_STEPS // n_steps, CHUNK_STEPS // (two_j + 1) ** 2))
+
+
 @functools.lru_cache(maxsize=1)
-def _workspace(size):
-    """Buffers for chunks of at most size steps, shared by every point (the
-    module is single-threaded): the step pairs (a, b); the two reduction
-    levels and the pair product's scratch; four float rows and a bool row
-    for _ck_steps.  The float rows overlay the reduction buffers, which are
-    idle while the steps are built."""
+def _workspace(points, size):
+    """Buffers for blocks of at most points points and chunks of at most size
+    steps, reused by every block (the module is single-threaded): the step
+    pairs (a, b); the two reduction levels and the pair product's scratch;
+    four float arrays and a bool array for _ck_steps.  The float arrays
+    overlay the reduction buffers, which are idle while the steps are
+    built.  Every buffer is laid out [point, step] in memory."""
     half = (size + 1) // 2
     quarter = (half + 1) // 2
-    # 3 half + 2 quarter >= 2 size entries: room for the four float rows
-    z = np.empty(3 * half + 2 * quarter, complex)
-    levels = (z[:2 * half].reshape(2, half),
-              z[2 * half:2 * (half + quarter)].reshape(2, quarter))
-    return (np.empty((2, size), complex), levels, z[2 * (half + quarter):],
-            z.view(float)[:4 * size].reshape(4, size), np.empty(size, bool))
+    # 3 half + 2 quarter >= 2 size entries a point: room for the float arrays
+    z = np.empty(points * (3 * half + 2 * quarter), complex)
+    levels = (z[:2 * points * half].reshape(2, points, half),
+              z[2 * points * half:2 * points * (half + quarter)].reshape(2, points, quarter))
+    # the reduction's buffers as _ordered takes them, [pair, step, point]
+    return (np.empty((2, points, size), complex),
+            tuple(level.swapaxes(1, 2) for level in levels),
+            z[2 * points * (half + quarter):].reshape(points, half).T,
+            z.view(float)[:4 * points * size].reshape(4, points, size),
+            np.empty((points, size), bool))
 
 
 def _both_senses(params, settings):
-    """Ordered spin-1/2 step products (a, b) for B_y of sign + and of sign -;
-    H = c . S, S = sigma/2.  Flipping B_y turns each step into (a, -b*)."""
-    n = settings.n_steps
+    """Ordered spin-1/2 step products (a, b) of a block of FieldParams, as an
+    array indexed [sense, point, (a, b)], for B_y of sign + (sense 0) and of
+    sign - (sense 1); H = c . S, S = sigma/2.  Flipping B_y turns each step
+    into (a, -b*)."""
+    n, k = settings.n_steps, len(params)
     size = min(n, CHUNK_STEPS)
-    steps, levels, tmp, real, mask = _workspace(size)
+    steps, levels, tmp, real, mask = _workspace(block_points(params[0].two_j, n), size)
+    # a block of one point runs on 1-D views, which numpy sets up faster
+    pts = 0 if k == 1 else slice(k)
+    levels = (levels[0][..., pts], levels[1][..., pts])
+    mul = functools.partial(_mul_ck, tmp=tmp[:, pts])
     e = _step_grid(n, settings.sampling_rule)
-    c = 2.0 * params.beta
-    mul = functools.partial(_mul_ck, tmp=tmp)
-    plus = minus = (1.0 + 0.0j, 0.0j)
+    # columns against [point, step] views; Python floats for one point,
+    # which numpy takes into a complex loop without a cast per step
+    fields = np.array([(p.b1, p.bz, p.beta) for p in params])
+    b1, bz, beta = fields[0].tolist() if k == 1 else fields.T[:, :, None]
+    c = 2.0 * beta
+    vz = c * bz
+    totals = [[(1.0 + 0.0j, 0.0j)] * k for _ in range(2)]
     for start in range(0, n, size):
         m = min(size, n - start)
-        a, w = steps[:, :m]
+        a, w = steps[:, pts, :m]
         # w = c (b1 + e^{-i t}) = vx - i vy; later chunks rotate the grid
-        np.multiply(e[:m], np.exp(-1j * start * settings.dt), out=w)
-        w += params.b1
+        np.copyto(w, e[:m])
+        if start:
+            w *= np.exp(-1j * start * settings.dt)
+        w += b1
         w *= c
-        _ck_steps(w, c * params.bz, 0.5 * settings.dt, a, real[:, :m], mask[:m])
-        plus = mul(_ordered(steps[:, :m], mul, levels), plus)
-        np.negative(np.conjugate(w, out=w), out=w)
-        minus = mul(_ordered(steps[:, :m], mul, levels), minus)
-    return plus, minus
-
-
-# The final pairs of both senses for the last (b1, bz, beta) and grid, keyed by
-# their bits: the first arm of a point computes both, the second reads its own.
-_last_point = {}
-
-
-def _total_ck(params, arm, settings):
-    """Ordered spin-1/2 step product of one arm as a pair (a, b)."""
-    key = (np.array([params.b1, params.bz, params.beta]).tobytes(),
-           settings.n_steps, settings.sampling_rule)
-    if key not in _last_point:
-        _last_point.clear()
-        _last_point[key] = _both_senses(params, settings)
-    plus, minus = _last_point[key]
-    return plus if int(arm) * params.omega_sign > 0 else minus
+        _ck_steps(w, vz, 0.5 * settings.dt, a, real[:, pts, :m], mask[pts, :m])
+        block = steps[:, pts, :m].swapaxes(1, -1)  # [pair, step(, point)]
+        for sense, running in enumerate(totals):
+            if sense:  # (a, b) -> (a, -b*)
+                np.negative(w.real, out=w.real)
+            # the running products are pairs of scalars, one point at a
+            # time, rounded as scalar arithmetic rounds them
+            prod = _ordered(block, mul, levels).reshape(2, k).T
+            running[:] = map(mul, prod, running)
+    pairs = np.empty((2, k, 2), complex)
+    pairs[...] = totals
+    return pairs
 
 
 def _lift_su2(a, b, two_j):
-    """Spin-J image exp(-i phi axis . S) of (a, b) = (cos(phi/2) - i sin(phi/2)
-    axis_z, -sin(phi/2) (axis_y + i axis_x)).  The map is a group homomorphism,
-    so the lift of an ordered product equals the ordered product of the lifts.
-    """
-    q = np.array([a.real, -b.imag, -b.real, -a.imag])
-    s = float(np.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
-    phi = 2.0 * np.arctan2(s, q[0])
-    if phi == 0.0:
-        return np.eye(two_j + 1, dtype=complex)
-    axis = q[1:] / s if s > 0.0 else (0.0, 0.0, 1.0)
+    """Spin-J images exp(-i phi axis . S) of the pairs (a, b) = (cos(phi/2) -
+    i sin(phi/2) axis_z, -sin(phi/2) (axis_y + i axis_x)), arrays of one
+    shape, stacked on the last two axes.  The map is a group homomorphism,
+    so the lift of an ordered product equals the ordered product of the
+    lifts."""
+    q0, q1, q2, q3 = a.real, -b.imag, -b.real, -a.imag
+    s = np.sqrt(q1 * q1 + q2 * q2 + q3 * q3)
+    phi = 2.0 * np.arctan2(s, q0)
+    # where s = 0 the pair turns by 0 or 2 pi, about z
+    axis = np.zeros((3,) + s.shape)
+    axis[2] = 1.0
+    np.divide((q1, q2, q3), s, out=axis, where=s > 0.0)
     sx, sy, sz = spin_matrices(two_j)
-    w, v = np.linalg.eigh(axis[0] * sx + axis[1] * sy + axis[2] * sz)
-    return (v * np.exp(-1j * phi * w)) @ v.conj().T
+    ax, ay, az = axis[..., None, None]
+    w, v = np.linalg.eigh(ax * sx + ay * sy + az * sz)
+    u = (v * np.exp(-1j * phi[..., None] * w)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+    u[phi == 0.0] = np.eye(two_j + 1)
+    return u
+
+
+# Both arms' propagators of each point of the last block, keyed by the bits of
+# (b1, bz, beta), two_j and the grid, indexed by sense: propagate_block fills
+# it, and total_unitary reads from it.
+_block_memo = {}
+
+
+def _memo_key(params, settings):
+    return (struct.pack("3d", params.b1, params.bz, params.beta), params.two_j,
+            settings.n_steps, settings.sampling_rule)
+
+
+def propagate_block(params, settings=PropagationSettings()):
+    """Propagate both arms of a block of at most block_points FieldParams
+    sharing two_j in one pass, and keep the propagators for total_unitary,
+    in place of the last block's.  The eigendecomposition method keeps
+    none: it propagates each arm when it is asked for."""
+    _block_memo.clear()
+    if settings.exp_method == "eigendecomposition":
+        return
+    two_j = _block_spin(params)
+    most = block_points(two_j, settings.n_steps)
+    if len(params) > most:
+        raise ValueError(f"a block holds at most {most} points at two_j={two_j}, "
+                         f"n_steps={settings.n_steps}")
+    pairs = _both_senses(params, settings)
+    a, b = pairs[..., 0], pairs[..., 1]
+    lifts = _ck_matrix(a, b) if two_j == 1 else _lift_su2(a, b, two_j)
+    for j, p in enumerate(params):
+        _block_memo[_memo_key(p, settings)] = lifts[:, j]
 
 
 def _total_unitary_dense(params, arm, settings):
@@ -447,11 +546,16 @@ def _total_unitary_dense(params, arm, settings):
 
 
 def total_unitary(params, arm, settings=PropagationSettings()):
-    """Time-ordered propagator over one cycle for the given arm."""
+    """Time-ordered propagator over one cycle for the given arm.  The
+    default method reads it from the block propagate_block filled last, and
+    propagates the point as a block of its own when that block lacks it."""
     if settings.exp_method == "eigendecomposition":
         return _total_unitary_dense(params, arm, settings)
-    a, b = _total_ck(params, arm, settings)
-    return _ck_matrix(a, b) if params.two_j == 1 else _lift_su2(a, b, params.two_j)
+    key = _memo_key(params, settings)
+    if key not in _block_memo:
+        propagate_block([params], settings)
+    sense = 0 if int(arm) * params.omega_sign > 0 else 1
+    return _block_memo[key][sense].copy()
 
 
 def evolve_arm(params, arm, settings=PropagationSettings(), branch=0):

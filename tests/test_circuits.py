@@ -1,5 +1,7 @@
 """Circuit presets, sampling, the trace driver and plane sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,8 @@ from geomphase import (
     winding_number,
     wrap_angle,
 )
+from geomphase import circuits, phase, spinsys
+from geomphase.spinsys import SAMPLING_RULES, hamiltonian_at, step_unitary
 
 TWO_PI = 2.0 * np.pi
 
@@ -356,14 +360,14 @@ class TestSweep:
         # force truly orthogonal arm states to exercise the marker path
         from geomphase import circuits as circuits_mod
 
-        def fake_initial_state(params, branch=0):
-            return np.array([1.0, 0.0], dtype=complex)
+        def fake_initial_states(params, branch=0):
+            return np.array([[1.0, 0.0]] * len(params), dtype=complex)
 
         def fake_total_unitary(params, arm, settings):
             # identity on the PLUS arm, sigma_x on the MINUS arm
             return np.eye(2, dtype=complex)[:: int(arm)]
 
-        monkeypatch.setattr(circuits_mod.spinsys, "initial_state", fake_initial_state)
+        monkeypatch.setattr(circuits_mod.spinsys, "initial_states", fake_initial_states)
         monkeypatch.setattr(circuits_mod.spinsys, "total_unitary", fake_total_unitary)
         result = sweep_plane(
             (0.0, 1.0), (0.0, 1.0), (2, 2), beta=1.0,
@@ -388,3 +392,97 @@ class TestSweep:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sweep_plane((0, 1), (0, 1), (1, 5), beta=1.0)
+
+
+class TestBlockReadings:
+    """Points are propagated a block at a time and then read one by one."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # blocks of 64 steps: 7 points of 9 steps at spin-1/2, 4 at spin-3/2
+        # (4 * 16 matrix elements); a point alone past 32 steps, chunked
+        # past 64.  The step grid, the buffers and the memo follow the size.
+        monkeypatch.setattr(spinsys, "CHUNK_STEPS", 64)
+        for clear in (spinsys._step_grid.cache_clear, spinsys._workspace.cache_clear,
+                      spinsys._block_memo.clear):
+            clear()
+        yield
+        for clear in (spinsys._step_grid.cache_clear, spinsys._workspace.cache_clear,
+                      spinsys._block_memo.clear):
+            clear()
+
+    @staticmethod
+    def sequential(point, beta, two_j, omega_sign, settings):
+        """Both arms' propagators, one step_unitary factor at a time."""
+        params = FieldParams(*point, beta, two_j, omega_sign)
+        shift = 0.5 if settings.sampling_rule == "midpoint" else 0.0
+        arms = []
+        for arm in ArmSense:
+            u = np.eye(two_j + 1, dtype=complex)
+            for k in range(settings.n_steps):
+                h = hamiltonian_at(params, (k + shift) * settings.dt, arm)
+                u = step_unitary(h, settings.dt) @ u
+            arms.append(u)
+        return params, arms
+
+    @pytest.mark.parametrize("two_j", [1, 3])
+    @pytest.mark.parametrize("n_steps", [9, 40, 100])
+    def test_block_edges_match_sequential_reading(self, small_blocks, two_j, n_steps):
+        # 11 points fill blocks of 7 and 4 (spin-1/2) or 4, 4 and 3
+        # (spin-3/2) at 9 steps; at 40 and 100 steps every point is a block
+        rng = np.random.default_rng(31)
+        points = np.column_stack([rng.uniform(0.2, 0.8, 11), rng.uniform(0.3, 0.9, 11)])
+        beta = 0.6  # c stays above 0.09, so alpha is well conditioned
+        for rule in SAMPLING_RULES:
+            settings = PropagationSettings(n_steps, rule)
+            for omega_sign in (1, -1):
+                arms = [self.sequential(p, beta, two_j, omega_sign, settings)
+                        for p in points]
+                for branch in (0, (two_j + 1) // 2):
+                    args = (beta, two_j, omega_sign, settings, branch)
+                    c, alpha = circuits._readings(points, *args)
+                    for k, (params, (u_plus, u_minus)) in enumerate(arms):
+                        psi0 = np.linalg.eigh(hamiltonian_at(params, 0.0, ArmSense.PLUS))[1][:, branch]
+                        ref_c, ref_alpha = phase.reading(np.vdot(u_minus @ psi0, u_plus @ psi0))
+                        where = (rule, omega_sign, branch, k)
+                        assert c[k] > 0.05, where
+                        assert abs(c[k] - ref_c) < 1e-13, where
+                        assert abs(wrap_angle(alpha[k] - ref_alpha)) < 1e-13, where
+                        # a point reads alike alone and inside its block
+                        alone = circuits._readings(points[k:k + 1], *args)
+                        assert np.array(alone).tobytes() == np.array(
+                            [c[k:k + 1], alpha[k:k + 1]]).tobytes(), where
+
+    def test_two_propagations_per_evaluated_point(self, monkeypatch):
+        # the call identity the benchmark checks: total_unitary runs once per
+        # arm and evaluated point, refined midpoints and sweep cells included
+        calls = []
+        total_unitary = spinsys.total_unitary
+
+        def counting(params, arm, settings):
+            calls.append(arm)
+            return total_unitary(params, arm, settings)
+
+        monkeypatch.setattr(spinsys, "total_unitary", counting)
+        circuit = Circuit(HEXAGON, 60)
+        trace = trace_circuit(circuit, 20.0, 3, PropagationSettings(500), refine=True)
+        assert len(trace.samples) > len(sample_circuit(circuit))
+        assert calls == [ArmSense.PLUS, ArmSense.MINUS] * len(trace.samples)
+        calls.clear()
+        sweep_plane((0.6, 1.3), (-0.2, 0.3), (3, 4), 30.0, 3, PropagationSettings(500))
+        assert calls == [ArmSense.PLUS, ArmSense.MINUS] * 12
+
+    def test_block_memory_bounded_in_points_and_spin(self):
+        # 10000 points of 2 steps at spin-4: blocks of at most 404 points
+        # (404 * 81 matrix elements); a memo of all the points' arms, or
+        # blocks sized by steps alone (16384 points), would take 26 MB
+        settings = PropagationSettings(2)
+        sweep_plane((0.2, 1.8), (0.3, 0.9), (4, 4), 2.0, 8, settings)
+        tracemalloc.start()
+        try:
+            result = sweep_plane((0.2, 1.8), (0.3, 0.9), (100, 100), 2.0, 8, settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(result.modulus_c).all()
+        assert peak < 12e6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geomphase import phase
 from geomphase import (
     NonQuantizedWinding,
     OrthogonalStates,
@@ -77,6 +78,32 @@ class TestPancharatnam:
             assert wrap_angle(
                 shifted.alpha_wrapped - base.alpha_wrapped - theta
             ) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestReading:
+    def test_array_reads_like_each_overlap(self):
+        # the batched readings keep the one orthogonality rule and the bits
+        # of a single overlap's reading, c through abs() included
+        rng = np.random.default_rng(24)
+        z = (rng.normal(size=500) + 1j * rng.normal(size=500)) * 10.0 ** rng.uniform(
+            -12, 1, 500)
+        z[:4] = (0.0, 1e-9, phase.ORTHOGONALITY_TOL, -1.0)
+        c, alpha = phase.reading(z)
+        singles = [phase.reading(x) for x in z]
+        assert c.tolist() == [2.0 * abs(x) for x in z]
+        assert c.tolist() == [r[0] for r in singles]
+        np.testing.assert_array_equal(alpha, [r[1] for r in singles])
+        undefined = [abs(x) < phase.ORTHOGONALITY_TOL for x in z]
+        assert np.isnan(alpha).tolist() == undefined
+        assert undefined[:4] == [True, True, False, False] and 0 < sum(undefined) < 250
+        assert alpha[3] == np.pi
+
+    def test_scalar_reading_is_a_pair_of_floats(self):
+        c, alpha = phase.reading(np.complex128(0.6 - 0.8j))
+        assert type(c) is float and type(alpha) is float
+        assert (c, alpha) == (2.0 * abs(0.6 - 0.8j), float(np.angle(0.6 - 0.8j)))
+        c, alpha = phase.reading(0.0j)
+        assert c == 0.0 and np.isnan(alpha)
 
 
 class TestIntensity:

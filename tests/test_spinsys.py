@@ -397,7 +397,7 @@ class TestQuaternionKernel:
         for arm in ArmSense:
             spinsys._step_grid.cache_clear()
             spinsys._workspace.cache_clear()
-            spinsys._last_point.clear()
+            spinsys._block_memo.clear()
             expected = total_unitary(params, arm, settings).tobytes()
             before = {
                 "nothing cached": lambda: None,
@@ -414,7 +414,7 @@ class TestQuaternionKernel:
                     replace(params, bz=0.01), arm, PropagationSettings(300)),
             }
             for what, call in before.items():
-                spinsys._last_point.clear()
+                spinsys._block_memo.clear()
                 call()
                 assert total_unitary(params, arm, settings).tobytes() == expected, (
                     arm, what)
@@ -456,11 +456,11 @@ class TestQuaternionKernel:
         ck_steps = spinsys._ck_steps
 
         def counting(w, *args):
-            built.append(len(w))
+            built.append(w.size)
             return ck_steps(w, *args)
 
         monkeypatch.setattr(spinsys, "_ck_steps", counting)
-        spinsys._last_point.clear()
+        spinsys._block_memo.clear()
         params = FieldParams(0.3, -0.5, 2.0)
         settings = PropagationSettings(2 * CHUNK_STEPS + 7)
         total_unitary(params, ArmSense.PLUS, settings)
@@ -522,6 +522,45 @@ class TestQuaternionKernel:
         assert abs(dev.mean()) < 4e-19
 
 
+class TestBlocks:
+    """Points propagated and started a block at a time."""
+
+    def test_block_start_states_match_single_points(self):
+        rng = np.random.default_rng(41)
+        for two_j in (1, 3):
+            params = [FieldParams(*rng.uniform(-2.0, 2.0, 2), 5.0, two_j)
+                      for _ in range(9)]
+            for branch in range(two_j + 1):
+                states = spinsys.initial_states(params, branch)
+                for p, psi in zip(params, states):
+                    assert psi.tobytes() == initial_state(p, branch).tobytes()
+
+    def test_block_names_first_degenerate_point(self):
+        params = [FieldParams(0.5, 0.1, 1.0), FieldParams(-1.0, 0.0, 1.0),
+                  FieldParams(-1.0, -0.0, 1.0)]
+        with pytest.raises(DegenerateStart, match="b1=-1.0, bz=0.0"):
+            spinsys.initial_states(params)
+
+    def test_blocks_are_bounded_and_share_a_spin(self):
+        settings = PropagationSettings(100)
+        most = spinsys.block_points(1, 100)
+        assert most == CHUNK_STEPS // 100
+        assert spinsys.block_points(8, 2) == CHUNK_STEPS // 81  # by matrix elements
+        assert spinsys.block_points(1, CHUNK_STEPS // 2 + 1) == 1
+        with pytest.raises(ValueError, match="at most"):
+            spinsys.propagate_block([FieldParams(0.5, 0.1, 1.0)] * (most + 1), settings)
+        mixed = [FieldParams(0.5, 0.1, 1.0), FieldParams(0.5, 0.1, 1.0, two_j=3)]
+        for call in (lambda: spinsys.propagate_block(mixed, settings),
+                     lambda: spinsys.initial_states(mixed)):
+            with pytest.raises(ValueError, match="share two_j"):
+                call()
+
+    def test_spin_matrices_are_shared_and_read_only(self):
+        assert spin_matrices(3) is spin_matrices(3)
+        with pytest.raises(ValueError):
+            spin_matrices(3)[0][0, 0] = 1.0
+
+
 class TestChunkLoop:
     """Both exp_methods run through one chunk loop and running product."""
 
@@ -531,11 +570,11 @@ class TestChunkLoop:
         monkeypatch.setattr(spinsys, "CHUNK_STEPS", 7)
         spinsys._step_grid.cache_clear()
         spinsys._workspace.cache_clear()
-        spinsys._last_point.clear()
+        spinsys._block_memo.clear()
         yield
         spinsys._step_grid.cache_clear()
         spinsys._workspace.cache_clear()
-        spinsys._last_point.clear()
+        spinsys._block_memo.clear()
 
     @pytest.mark.parametrize("two_j", [1, 3, 8])
     @pytest.mark.parametrize("method", EXP_METHODS)
