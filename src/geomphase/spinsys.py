@@ -27,15 +27,24 @@ n_steps and spin.  H(t) lies in su(2), so by default ("auto") each step is
 the Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]], with
 cos and sin of its angle taken from one tan of the half angle.  e^{-i t_k}
 over one chunk is cached per grid.  The default method propagates a block of
-points at once: block_points(two_j, n_steps) of them, so a block holds at
-most CHUNK_STEPS steps (one point, chunked, past CHUNK_STEPS/2 steps) and
-its matrices at most CHUNK_STEPS elements.  A block's steps are one
+points at once, and each chunk of each point and arm is one tree of the
+pairwise product.  A chunk's steps are built for up to CHUNK_STEPS // n_steps
+points at a time (one point, chunked, past CHUNK_STEPS/2 steps) as one
 (2, points, steps) array.  The two arms see B_y of opposite sign, so one
 arm's steps are (a, b) and the other's (a, -b*): propagate_block builds each
 chunk's steps once, reduces them, flips b in place and reduces them again.
-Steps and reduction levels are written into buffers kept per block shape
-and reused (the module is single-threaded), so the chunk loop allocates no
-array of the chunk's size.
+Each tree is reduced on its own only until at most TAIL entries are left,
+past which its levels are too short to keep numpy busy; the tails go into
+one tail buffer of CHUNK_STEPS entries, laid out [pair, step, tree], and
+one _ordered call finishes every tree of equal tail length.  The chunk
+products fold into each point's running products in chunk order when the
+buffer is full, before the short last chunk of a long product, and at the
+end.  block_points(two_j, n_steps) is sized by that buffer and by the
+block's spin-J matrices, which take at most CHUNK_STEPS elements: about 100
+points at 20000 steps.  Steps, reduction levels and tails are written into
+buffers kept per block shape and reused (the module is single-threaded), so
+the chunk loop allocates no array of the chunk's size, and memory does not
+grow with n_steps.
 The final pairs are the 2x2 propagators; their spin-J lifts, which equal the
 dimension-N step products exactly, come from one stacked eigh and are kept
 for total_unitary, which reads each point's arms from them and propagates a
@@ -61,6 +70,10 @@ SAMPLING_RULES = ("left_endpoint", "midpoint")
 EXP_METHODS = ("auto", "eigendecomposition")
 # Steps per chunk; the default path's step grid takes 0.5 MiB.
 CHUNK_STEPS = 2 ** 15
+# A tree is reduced on its own until at most TAIL entries are left; its
+# shorter levels cost more in numpy's per-call overhead than in arithmetic,
+# so a block finishes them for all its trees at once.
+TAIL = 128
 # Bounds on the work one point may ask for: 100 times the 10**6 steps of the
 # benchmark's longest cycle, and a spin whose 500-step point takes ~10 ms.
 MAX_STEPS = 10 ** 8
@@ -296,13 +309,17 @@ def _ck_steps(w, vz, h, a, real, mask):
     # |a|^2 + |b|^2 by -2e-18 a step; 2/(1 + tau^2) - 1 is the more accurate
     # past tau^2 = 1, where tau sin phi nears 2.
     tau *= k
-    np.subtract(1.0, tau, out=tau)
-    np.greater(den, 2.0, out=mask)
-    np.divide(2.0, den, out=tau, where=mask)
-    np.subtract(tau, 1.0, out=tau, where=mask)
-    a.real = tau
-    np.greater(norm, 0.0, out=mask)
-    np.divide(k, norm, out=k, where=mask)
+    np.subtract(1.0, tau, out=a.real)
+    # the masked passes run only where a step needs them
+    if den.max() > 2.0:
+        np.greater(den, 2.0, out=mask)
+        np.divide(2.0, den, out=a.real, where=mask)
+        np.subtract(a.real, 1.0, out=a.real, where=mask)
+    if norm.min() > 0.0:
+        k /= norm
+    else:
+        np.greater(norm, 0.0, out=mask)
+        np.divide(k, norm, out=k, where=mask)
     np.multiply(k, -vz, out=a.imag)
     # part by part: w *= k would cast k to complex through a 128 KiB buffer
     w.real *= k
@@ -322,12 +339,12 @@ def _mul_ck(later, earlier, out=None, tmp=None):
     left.  With out, the factors are (2, ...) arrays of pairs with time on
     axis 1 and the product is written to out with the scratch array tmp;
     neither may overlap an input.  Without out the factors are pairs of
-    numpy scalars, such as a running total, and so is the product: scalar
-    arithmetic rounds each term, where the array loop may fuse a multiply
-    and an add."""
+    arrays, such as running totals, and the product is a new pair whose
+    every term is rounded on its own, as scalar arithmetic rounds it."""
     (a2, b2), (a1, b1) = later, earlier
     if out is None:
-        return a2 * a1 - np.conjugate(b1) * b2, a2 * b1 + np.conjugate(a1) * b2
+        return (_rounded(a2, a1) - _rounded(np.conjugate(b1), b2),
+                _rounded(a2, b1) + _rounded(np.conjugate(a1), b2))
     pa, pb = out
     tmp = tmp[:len(pa)]
     np.conjugate(b1, out=tmp)
@@ -341,39 +358,44 @@ def _mul_ck(later, earlier, out=None, tmp=None):
     return out
 
 
+def _rounded(x, y):
+    """x * y for complex arrays, each term of (xr yr - xi yi, xr yi + xi yr)
+    rounded on its own, where numpy's array loop may fuse a multiply and an
+    add."""
+    out = np.empty(np.broadcast(x, y).shape, complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def _times(x, y):
     """x *= y for complex arrays whose axis 0 is time.  With one step per
-    point left, each term of (xr yr - xi yi, xr yi + xi yr) is rounded on
-    its own, as numpy rounds an in-place product of one element (its array
-    loop may fuse a multiply and an add): a point's pair then does not
-    depend on the size of its block."""
+    tree left, the product is _rounded, as numpy rounds an in-place product
+    of one element: a tree's pair then does not depend on how many trees
+    are reduced with it."""
     if len(x) > 1:
         x *= y
-    elif x.size == 1:  # Python floats are faster here, and round alike
-        p, q = x.item(), y.item()
-        x[...] = complex(p.real * q.real - p.imag * q.imag,
-                         p.real * q.imag + p.imag * q.real)
     else:
-        re = x.real * y.real - x.imag * y.imag
-        x.imag = x.real * y.imag + x.imag * y.real
-        x.real = re
+        x[...] = _rounded(x, y)
 
 
-def _ordered(steps, mul, levels):
+def _ordered(steps, mul, levels, tail=1):
     """Time-ordered product of steps, an array whose axis 1 is time, reduced
-    pairwise by mul(later, earlier, out).  levels holds two buffers shaped
-    like steps, with at least m/2 and m/4 entries (rounded up) on axis 1 for
-    m steps.  The levels are written to the front of the two in turn, so the
-    reduction allocates nothing."""
+    pairwise by mul(later, earlier, out) until at most tail entries are
+    left; returns them, in time order, as a view on axis 1.  levels holds
+    two buffers shaped like steps, with at least m/2 and m/4 entries
+    (rounded up) on axis 1 for m steps.  The levels are written to the front
+    of the two in turn, so the reduction allocates nothing; stopping at any
+    tail and reducing the rest later pairs the entries alike."""
     m = steps.shape[1]
-    while m > 1:
+    while m > tail:
         half, odd = divmod(m, 2)
         out = levels[0][:, :half + odd]
         mul(steps[:, 1:m - odd:2], steps[:, 0:m - odd:2], out[:, :half])
         if odd:
             out[:, half] = steps[:, m - 1]
         steps, m, levels = out, half + odd, levels[::-1]
-    return steps[:, 0]
+    return steps[:, :m]
 
 
 def _step_times(settings, start, stop):
@@ -392,76 +414,133 @@ def _step_grid(n_steps, sampling_rule):
     return grid
 
 
+def _tail_length(m):
+    """Entries left of a tree of m steps once its own levels are reduced:
+    m halved, rounded up, until at most TAIL are left."""
+    while m > TAIL:
+        m -= m // 2
+    return m
+
+
+def _tail_rows(n_steps):
+    """Rows of the tail buffer: the tail length of a point's one chunk, or
+    TAIL when a point takes several."""
+    return _tail_length(n_steps) if n_steps <= CHUNK_STEPS else TAIL
+
+
 def block_points(two_j, n_steps):
-    """Points propagated in one block: CHUNK_STEPS // n_steps of them, at
+    """Points propagated in one block: as many as the tail buffer holds, at
     most CHUNK_STEPS // (two_j + 1)**2 so that the block's spin-J matrices
-    take no more elements than a chunk takes steps, and at least one."""
-    return max(1, min(CHUNK_STEPS // n_steps, CHUNK_STEPS // (two_j + 1) ** 2))
+    take no more elements than a chunk takes steps, and at least one.  The
+    tail buffer takes CHUNK_STEPS complex entries: the tails of the (a, b)
+    of both senses of one chunk of each point."""
+    return max(1, min(CHUNK_STEPS // (4 * _tail_rows(n_steps)),
+                      CHUNK_STEPS // (two_j + 1) ** 2))
 
 
 @functools.lru_cache(maxsize=1)
-def _workspace(points, size):
-    """Buffers for blocks of at most points points and chunks of at most size
-    steps, reused by every block (the module is single-threaded): the step
-    pairs (a, b); the two reduction levels and the pair product's scratch;
-    four float arrays and a bool array for _ck_steps.  The float arrays
-    overlay the reduction buffers, which are idle while the steps are
-    built.  Every buffer is laid out [point, step] in memory."""
-    half = (size + 1) // 2
-    quarter = (half + 1) // 2
+def _workspace(points, size, tail, trees):
+    """Buffers for steps built points at a time in chunks of at most size
+    steps and for trees tails of at most tail entries, reused by every block
+    (the module is single-threaded): the step pairs (a, b); the two
+    reduction levels and the pair product's scratch; four float arrays and
+    a bool array for _ck_steps; the tail buffer, and its own two levels and
+    scratch.  The float arrays and the tail's levels overlay the reduction
+    buffers, which are idle while the steps are built and while the tails
+    are finished.  The step buffers are laid out [point, step] in memory,
+    the tail buffers [pair, step, tree]."""
+    half, t_half = (size + 1) // 2, (tail + 1) // 2
+    quarter, t_quarter = (half + 1) // 2, (t_half + 1) // 2
     # 3 half + 2 quarter >= 2 size entries a point: room for the float arrays
-    z = np.empty(points * (3 * half + 2 * quarter), complex)
+    z = np.empty(max(points * (3 * half + 2 * quarter),
+                     trees * (3 * t_half + 2 * t_quarter)), complex)
     levels = (z[:2 * points * half].reshape(2, points, half),
               z[2 * points * half:2 * points * (half + quarter)].reshape(2, points, quarter))
+    t_levels = (z[:2 * trees * t_half].reshape(2, t_half, trees),
+                z[2 * trees * t_half:2 * trees * (t_half + t_quarter)].reshape(
+                    2, t_quarter, trees))
     # the reduction's buffers as _ordered takes them, [pair, step, point]
     return (np.empty((2, points, size), complex),
             tuple(level.swapaxes(1, 2) for level in levels),
-            z[2 * points * (half + quarter):].reshape(points, half).T,
+            z[2 * points * (half + quarter):][:points * half].reshape(points, half).T,
             z.view(float)[:4 * points * size].reshape(4, points, size),
-            np.empty((points, size), bool))
+            np.empty((points, size), bool),
+            np.empty((2, tail, trees), complex),
+            t_levels,
+            z[2 * trees * (t_half + t_quarter):][:trees * t_half].reshape(t_half, trees))
 
 
 def _both_senses(params, settings):
-    """Ordered spin-1/2 step products (a, b) of a block of FieldParams, as an
-    array indexed [sense, point, (a, b)], for B_y of sign + (sense 0) and of
-    sign - (sense 1); H = c . S, S = sigma/2.  Flipping B_y turns each step
-    into (a, -b*)."""
+    """Ordered spin-1/2 step products (a, b) of a block of FieldParams, as two
+    arrays indexed [sense, point], for B_y of sign + (sense 0) and of sign -
+    (sense 1); H = c . S, S = sigma/2.  Flipping B_y turns each step
+    into (a, -b*).
+
+    Each chunk of each point and sense is one tree of the pairwise product.
+    The steps of a chunk are built for a batch of points at a time, and each
+    tree is reduced on its own until at most TAIL entries are left; those
+    tails go into the tail buffer, one column per tree, and one _ordered
+    call per tail length finishes every tree held there.  Chunk products
+    are folded into the running products, in chunk order, when the buffer
+    is full, before a chunk of another tail length and at the end."""
     n, k = settings.n_steps, len(params)
     size = min(n, CHUNK_STEPS)
-    steps, levels, tmp, real, mask = _workspace(block_points(params[0].two_j, n), size)
-    # a block of one point runs on 1-D views, which numpy sets up faster
-    pts = 0 if k == 1 else slice(k)
-    levels = (levels[0][..., pts], levels[1][..., pts])
-    mul = functools.partial(_mul_ck, tmp=tmp[:, pts])
+    batch = min(block_points(params[0].two_j, n), max(1, CHUNK_STEPS // n))
+    rows = _tail_rows(n)
+    steps, levels, tmp, real, mask, tail, t_levels, t_tmp = _workspace(
+        batch, size, rows, max(2, CHUNK_STEPS // (2 * rows)))
     e = _step_grid(n, settings.sampling_rule)
-    # columns against [point, step] views; Python floats for one point,
-    # which numpy takes into a complex loop without a cast per step
     fields = np.array([(p.b1, p.bz, p.beta) for p in params])
-    b1, bz, beta = fields[0].tolist() if k == 1 else fields.T[:, :, None]
-    c = 2.0 * beta
-    vz = c * bz
-    totals = [[(1.0 + 0.0j, 0.0j)] * k for _ in range(2)]
+    cols = 2 * k  # one chunk's trees, [sense, point]
+    running = np.empty((2, cols), complex)
+    running[0], running[1] = 1.0, 0.0
+
+    def fold(running, chunks, length):
+        trees = chunks * cols
+        mul = functools.partial(_mul_ck, tmp=t_tmp[:, :trees])
+        prods = _ordered(tail[:, :length, :trees], mul,
+                         (t_levels[0][..., :trees], t_levels[1][..., :trees]))[:, 0]
+        for j in range(0, trees, cols):
+            running = _mul_ck(prods[:, j:j + cols], running)
+        return running
+
+    chunks, held = 0, None  # chunks in the tail buffer, and their tail length
     for start in range(0, n, size):
         m = min(size, n - start)
-        a, w = steps[:, pts, :m]
-        # w = c (b1 + e^{-i t}) = vx - i vy; later chunks rotate the grid
-        np.copyto(w, e[:m])
-        if start:
-            w *= np.exp(-1j * start * settings.dt)
-        w += b1
-        w *= c
-        _ck_steps(w, vz, 0.5 * settings.dt, a, real[:, pts, :m], mask[pts, :m])
-        block = steps[:, pts, :m].swapaxes(1, -1)  # [pair, step(, point)]
-        for sense, running in enumerate(totals):
-            if sense:  # (a, b) -> (a, -b*)
-                np.negative(w.real, out=w.real)
-            # the running products are pairs of scalars, one point at a
-            # time, rounded as scalar arithmetic rounds them
-            prod = _ordered(block, mul, levels).reshape(2, k).T
-            running[:] = map(mul, prod, running)
-    pairs = np.empty((2, k, 2), complex)
-    pairs[...] = totals
-    return pairs
+        length = _tail_length(m)
+        if chunks and (length != held or (chunks + 1) * cols > tail.shape[2]):
+            running, chunks = fold(running, chunks, held), 0
+        held = length
+        rotation = np.exp(-1j * start * settings.dt)
+        for first in range(0, k, batch):
+            points = min(batch, k - first)
+            # a batch of one point runs on 1-D views, which numpy sets up
+            # faster, with Python floats, which numpy takes into a complex
+            # loop without a cast per step; a larger batch takes columns
+            # against its [point, step] views
+            pts = 0 if points == 1 else slice(points)
+            part = fields[first:first + points]
+            b1, bz, beta = part[0].tolist() if points == 1 else part.T[:, :, None]
+            c = 2.0 * beta
+            a, w = steps[:, pts, :m]
+            # w = c (b1 + e^{-i t}) = vx - i vy; later chunks rotate the grid
+            np.copyto(w, e[:m])
+            if start:
+                w *= rotation
+            w += b1
+            w *= c
+            _ck_steps(w, c * bz, 0.5 * settings.dt, a, real[:, pts, :m], mask[pts, :m])
+            block = steps[:, pts, :m].swapaxes(1, -1)  # [pair, step(, point)]
+            mul = functools.partial(_mul_ck, tmp=tmp[:, pts])
+            block_levels = (levels[0][..., pts], levels[1][..., pts])
+            for sense in range(2):
+                if sense:  # (a, b) -> (a, -b*)
+                    np.negative(w.real, out=w.real)
+                col = chunks * cols + sense * k + first
+                np.copyto(tail[:, :length, col if points == 1 else slice(col, col + points)],
+                          _ordered(block, mul, block_levels, TAIL))
+        chunks += 1
+    return [x.reshape(2, k) for x in fold(running, chunks, held)]
 
 
 def _lift_su2(a, b, two_j):
@@ -509,8 +588,7 @@ def propagate_block(params, settings=PropagationSettings()):
     if len(params) > most:
         raise ValueError(f"a block holds at most {most} points at two_j={two_j}, "
                          f"n_steps={settings.n_steps}")
-    pairs = _both_senses(params, settings)
-    a, b = pairs[..., 0], pairs[..., 1]
+    a, b = _both_senses(params, settings)
     lifts = _ck_matrix(a, b) if two_j == 1 else _lift_su2(a, b, two_j)
     for j, p in enumerate(params):
         _block_memo[_memo_key(p, settings)] = lifts[:, j]
@@ -541,7 +619,7 @@ def _total_unitary_dense(params, arm, settings):
     for start in range(0, n, size):
         # the chunk is not named, so it is freed before the next is built
         total = np.matmul(_ordered(chunk(start, min(start + size, n)),
-                                   np.matmul, levels), total)
+                                   np.matmul, levels)[:, 0], total)
     return total[0]
 
 

@@ -399,10 +399,14 @@ class TestBlockReadings:
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        # blocks of 64 steps: 7 points of 9 steps at spin-1/2, 4 at spin-3/2
-        # (4 * 16 matrix elements); a point alone past 32 steps, chunked
-        # past 64.  The step grid, the buffers and the memo follow the size.
+        # chunks of 64 steps, each tree reduced on its own to at most 4
+        # entries: blocks of 5 points at 9 and 40 steps (4 at spin-3/2, by
+        # 4 * 16 matrix elements), their steps built 5 points at a time at 9
+        # steps and one at a time at 40; blocks of 4 points at 100 steps,
+        # chunked into 64 and 36 steps whose tails differ in length.  The
+        # step grid, the buffers and the memo follow the sizes.
         monkeypatch.setattr(spinsys, "CHUNK_STEPS", 64)
+        monkeypatch.setattr(spinsys, "TAIL", 4)
         for clear in (spinsys._step_grid.cache_clear, spinsys._workspace.cache_clear,
                       spinsys._block_memo.clear):
             clear()
@@ -428,8 +432,8 @@ class TestBlockReadings:
     @pytest.mark.parametrize("two_j", [1, 3])
     @pytest.mark.parametrize("n_steps", [9, 40, 100])
     def test_block_edges_match_sequential_reading(self, small_blocks, two_j, n_steps):
-        # 11 points fill blocks of 7 and 4 (spin-1/2) or 4, 4 and 3
-        # (spin-3/2) at 9 steps; at 40 and 100 steps every point is a block
+        # 11 points fill blocks of 5, 5 and 1 (spin-1/2) or 4, 4 and 3
+        # (spin-3/2) at 9 and 40 steps, and of 4, 4 and 3 at 100 steps
         rng = np.random.default_rng(31)
         points = np.column_stack([rng.uniform(0.2, 0.8, 11), rng.uniform(0.3, 0.9, 11)])
         beta = 0.6  # c stays above 0.09, so alpha is well conditioned

@@ -1,5 +1,6 @@
 """Spin operators, Hamiltonian construction and arm propagation."""
 
+import functools
 import tracemalloc
 from dataclasses import replace
 
@@ -451,6 +452,39 @@ class TestQuaternionKernel:
             tracemalloc.stop()
         assert peak < 16e6
 
+    @staticmethod
+    def cold_peak(call):
+        """tracemalloc peak of call with no step grid or buffers kept."""
+        spinsys._step_grid.cache_clear()
+        spinsys._workspace.cache_clear()
+        spinsys._block_memo.clear()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_of_a_full_block(self):
+        # 103 points of 20000 steps: the step and reduction buffers of one
+        # point (1.3 MB), the 0.5 MB tail buffer, the step grid and the
+        # block's lifts peak at 2.6 MB; the block's steps held at once
+        # would take 66 MB
+        settings = PropagationSettings(20000)
+        most = spinsys.block_points(1, settings.n_steps)
+        block = [FieldParams(0.5 + 0.01 * j, 0.01, 2000.0) for j in range(most)]
+        assert self.cold_peak(lambda: spinsys.propagate_block(block, settings)) < 3e6
+
+    def test_tail_buffer_flat_in_steps(self):
+        # 62 and 245 chunks of one point go through one tail buffer
+        params = FieldParams(0.7, 0.4, 3.0, two_j=3)
+
+        def peak(n_steps):
+            return self.cold_peak(lambda: total_unitary(
+                params, ArmSense.PLUS, PropagationSettings(n_steps)))
+
+        assert peak(8_000_000) < 1.1 * peak(2_000_000)
+
     def test_steps_built_once_for_both_arms(self, monkeypatch):
         built = []
         ck_steps = spinsys._ck_steps
@@ -544,9 +578,11 @@ class TestBlocks:
     def test_blocks_are_bounded_and_share_a_spin(self):
         settings = PropagationSettings(100)
         most = spinsys.block_points(1, 100)
-        assert most == CHUNK_STEPS // 100
+        # by the tail buffer: (a, b) of both senses, 100 entries each
+        assert most == CHUNK_STEPS // 400
+        assert spinsys.block_points(1, 20000) == CHUNK_STEPS // (4 * 79)
+        assert spinsys.block_points(1, MAX_STEPS) == CHUNK_STEPS // (4 * spinsys.TAIL)
         assert spinsys.block_points(8, 2) == CHUNK_STEPS // 81  # by matrix elements
-        assert spinsys.block_points(1, CHUNK_STEPS // 2 + 1) == 1
         with pytest.raises(ValueError, match="at most"):
             spinsys.propagate_block([FieldParams(0.5, 0.1, 1.0)] * (most + 1), settings)
         mixed = [FieldParams(0.5, 0.1, 1.0), FieldParams(0.5, 0.1, 1.0, two_j=3)]
@@ -554,6 +590,73 @@ class TestBlocks:
                      lambda: spinsys.initial_states(mixed)):
             with pytest.raises(ValueError, match="share two_j"):
                 call()
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 500, 20000, 2 * CHUNK_STEPS + 7])
+    def test_tails_finish_as_one_tree_at_a_time(self, n_steps):
+        # the reference reduces each chunk's tree alone, on 1-D arrays, to
+        # one pair and multiplies the running product by it in scalar
+        # arithmetic
+        settings = PropagationSettings(n_steps)
+        params = [FieldParams(0.3, -0.5, 2.0), FieldParams(1.2, -0.0, 0.0),
+                  FieldParams(-0.7, 0.9, 40.0)]
+        a, b = spinsys._both_senses(params, settings)
+        size = min(n_steps, CHUNK_STEPS)
+        grid = np.exp(-1j * spinsys._step_times(settings, 0, size))
+        half = (size + 1) // 2
+        levels = (np.empty((2, half), complex), np.empty((2, (half + 1) // 2), complex))
+        mul = functools.partial(spinsys._mul_ck, tmp=np.empty(half, complex))
+        for j, p in enumerate(params):
+            c = 2.0 * p.beta
+            running = [(1.0 + 0.0j, 0.0j)] * 2
+            for start in range(0, n_steps, size):
+                m = min(size, n_steps - start)
+                steps = np.empty((2, m), complex)
+                w = steps[1]
+                w[:] = grid[:m]
+                if start:
+                    w *= np.exp(-1j * start * settings.dt)
+                w += p.b1
+                w *= c
+                spinsys._ck_steps(w, c * p.bz, 0.5 * settings.dt, steps[0],
+                                  np.empty((4, m)), np.empty(m, bool))
+                for sense, (a1, b1) in enumerate(running):
+                    if sense:
+                        np.negative(w.real, out=w.real)
+                    a2, b2 = spinsys._ordered(steps, mul, levels)[:, 0]
+                    running[sense] = (a2 * a1 - np.conjugate(b1) * b2,
+                                      a2 * b1 + np.conjugate(a1) * b2)
+            for sense, expected in enumerate(running):
+                assert np.array([a[sense, j], b[sense, j]]).tobytes() == np.array(
+                    expected).tobytes(), (j, sense)
+
+    @pytest.mark.parametrize("n_steps", [
+        20000, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 7,
+    ])
+    @pytest.mark.parametrize("two_j", [1, 3])
+    def test_pair_alike_alone_and_in_full_and_partial_blocks(self, two_j, n_steps):
+        # a full block shares its tail buffer among all its points; the
+        # partial last block of a run leaves part of it unused
+        most = spinsys.block_points(two_j, n_steps)
+        assert most > 2
+        rng = np.random.default_rng(n_steps + two_j)
+        full = [FieldParams(*rng.uniform(-2.0, 2.0, 2), rng.choice([0.0, 3.0]), two_j)
+                for _ in range(most)]
+        full[0] = replace(full[0], beta=0.0)
+        watched = (0, most // 2, most - 1)
+        for rule in SAMPLING_RULES:
+            settings = PropagationSettings(n_steps, rule)
+
+            def arms(params):
+                return [total_unitary(params, arm, settings).tobytes()
+                        for arm in ArmSense]
+
+            spinsys.propagate_block(full, settings)
+            in_full = [arms(full[j]) for j in watched]
+            for j, expected in zip(watched, in_full):
+                spinsys.propagate_block([full[(j + 1) % most], full[j]], settings)
+                assert arms(full[j]) == expected, (rule, j)
+                spinsys._block_memo.clear()  # alone: a block of its own
+                assert arms(full[j]) == expected, (rule, j)
 
     def test_spin_matrices_are_shared_and_read_only(self):
         assert spin_matrices(3) is spin_matrices(3)
@@ -595,6 +698,56 @@ class TestChunkLoop:
                     ref = step_unitary(H, dt) @ ref
                 U = total_unitary(params, arm, settings)
                 assert np.max(np.abs(U - ref)) < 1e-12, (rule, arm)
+
+    @pytest.fixture
+    def small_tails(self, monkeypatch):
+        # chunks of 64 steps reduced per tree to tails of 4 entries; a block
+        # of one point fills the 8-column tail buffer every 4 chunks
+        monkeypatch.setattr(spinsys, "CHUNK_STEPS", 64)
+        monkeypatch.setattr(spinsys, "TAIL", 4)
+        spinsys._step_grid.cache_clear()
+        spinsys._workspace.cache_clear()
+        spinsys._block_memo.clear()
+        yield
+        spinsys._step_grid.cache_clear()
+        spinsys._workspace.cache_clear()
+        spinsys._block_memo.clear()
+
+    @pytest.mark.parametrize("two_j", [1, 3])
+    def test_full_tail_buffer_folds_in_chunk_order(self, small_tails, monkeypatch, two_j):
+        # 1000 steps: 15 chunks of 64 with tails of 4 entries, folded after
+        # chunks 4, 8 and 12, then 3 more, then the 40-step chunk alone,
+        # whose tail has 3 entries
+        finishes = []
+        ordered = spinsys._ordered
+
+        def counting(steps, mul, levels, tail=1):
+            if tail == 1:
+                finishes.append(steps.shape[1:])
+            return ordered(steps, mul, levels, tail)
+
+        monkeypatch.setattr(spinsys, "_ordered", counting)
+        params = FieldParams(0.3, -0.5, 2.0, two_j=two_j)
+        for rule in SAMPLING_RULES:
+            settings = PropagationSettings(1000, rule)
+            dt = settings.dt
+            shift = 0.5 if rule == "midpoint" else 0.0
+            finishes.clear()
+            spinsys._block_memo.clear()
+            for arm in ArmSense:
+                ref = np.eye(two_j + 1, dtype=complex)
+                for k in range(settings.n_steps):
+                    H = hamiltonian_at(params, (k + shift) * dt, arm)
+                    ref = step_unitary(H, dt) @ ref
+                U = total_unitary(params, arm, settings)
+                assert np.max(np.abs(U - ref)) < 1e-12, (rule, arm)
+            assert finishes == [(4, 8)] * 3 + [(4, 6), (3, 2)], rule
+            # and alike in a block, which folds one chunk at a time
+            alone = [total_unitary(params, arm, settings).tobytes() for arm in ArmSense]
+            other = FieldParams(0.2, 0.4, 1.0, two_j=two_j)
+            spinsys.propagate_block([other, params, other], settings)
+            assert [total_unitary(params, arm, settings).tobytes()
+                    for arm in ArmSense] == alone, rule
 
     def test_dense_memory_bounded(self):
         params = FieldParams(0.7, 0.4, 3.0, two_j=2)
