@@ -9,6 +9,7 @@ wrapped phase moves too fast for the shortest-branch rule to be trusted.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ SINGULAR_GUARD = 1e-6
 REFINE_TRIGGER = np.pi / 2.0
 REFINE_MAX_DEPTH = 8
 
+# most parameter points a circuit's samples or a sweep grid may hold
+MAX_POINTS = 10 ** 6
+
 PRESET_NAMES = ("ABCDA", "EFGHE", "SPQRS")
 _PRESET_BETAS = {"ABCDA": 2000.0, "EFGHE": 200.0, "SPQRS": 20.0}
 _PRESET_GAMMA = 20.0
@@ -39,7 +43,8 @@ class Circuit:
     """Closed polygon in the (b1, bz) plane.
 
     vertices lists the corners once; the traversal implicitly returns from
-    the last vertex to the first.
+    the last vertex to the first.  points_per_segment is an integer >= 1,
+    and points_per_segment * len(vertices) is at most MAX_POINTS.
     """
 
     vertices: tuple
@@ -53,8 +58,14 @@ class Circuit:
             raise ValueError("a circuit needs at least 3 vertices")
         if not np.isfinite(verts).all():
             raise ValueError(f"circuit vertices must be finite, got {verts}")
-        if self.points_per_segment < 1:
+        pps = self.points_per_segment
+        if isinstance(pps, bool) or not isinstance(pps, numbers.Integral):
+            raise ValueError(f"points_per_segment must be an integer, got {pps!r}")
+        if pps < 1:
             raise ValueError("points_per_segment must be >= 1")
+        if pps * len(verts) > MAX_POINTS:
+            raise ValueError(f"points_per_segment * len(vertices) = {pps} * "
+                             f"{len(verts)} exceeds MAX_POINTS = {MAX_POINTS}")
         for a, b in zip(verts, verts[1:] + verts[:1]):
             if a == b:
                 raise ValueError(f"consecutive vertices coincide at {a}")
@@ -132,7 +143,9 @@ def _readings(points, beta, two_j, omega_sign, settings, branch):
     alpha is NaN where phase.reading finds the arm states orthogonal.  The
     points are propagated a block at a time, then read one by one."""
     overlaps = np.empty(len(points), complex)
-    size = spinsys.block_points(two_j, settings.n_steps)
+    # the first point's FieldParams checks two_j before it sizes the blocks
+    first = spinsys.FieldParams(*points[0], beta, two_j, omega_sign)
+    size = spinsys.block_points(first.two_j, settings.n_steps)
     for start in range(0, len(points), size):
         block = [spinsys.FieldParams(b1, bz, beta, two_j, omega_sign)
                  for b1, bz in points[start:start + size]]
@@ -267,10 +280,14 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
 
     Grid cells where the two arm states come out orthogonal keep their
     modulus but record NaN for the phase instead of aborting the sweep.
+    The grid holds at most MAX_POINTS cells.
     """
     nx, ny = grid
     if nx < 2 or ny < 2:
         raise ValueError("grid dimensions must be >= 2")
+    if nx * ny > MAX_POINTS:
+        raise ValueError(f"the grid's nx * ny = {nx} * {ny} cells exceed "
+                         f"MAX_POINTS = {MAX_POINTS}")
     for name, (lo, hi) in (("b1", b1_range), ("bz", bz_range)):
         # a non-finite end makes the span non-finite too
         if not math.isfinite(float(hi) - float(lo)):

@@ -74,10 +74,8 @@ def circuit_from_json(text):
         for v in vertices
     ):
         raise ValueError("'vertices' must be a list of [b1, bz] number pairs")
-    pps = data.get("points_per_segment", 100)
-    if isinstance(pps, bool) or not isinstance(pps, int):
-        raise ValueError("'points_per_segment' must be an integer")
-    return circuits.Circuit(tuple((v[0], v[1]) for v in vertices), pps)
+    return circuits.Circuit(tuple((v[0], v[1]) for v in vertices),
+                            data.get("points_per_segment", 100))
 
 
 def _load_circuit(value, points_override=None):

@@ -13,14 +13,20 @@ continuous while the loop is dragged past the degeneracy.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateLoop, StringOnBoundary
+from .spinsys import MAX_TWO_J
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
+
+# Largest monopole strength |g|: it keeps every phase g * Omega of a trace
+# far from overflow
+MAX_STRENGTH = 10 ** 6
 
 # Global sign relating the simulated interference phase to the solid-angle
 # variation, fixed once against the simulated gamma = 20 preset circuit and
@@ -60,7 +66,8 @@ class LoopGeometry:
 
 @dataclass(frozen=True)
 class MonopoleScene:
-    """Monopole of strength g = n/2 at the origin with an attached string.
+    """Monopole of strength g = n/2 at the origin with an attached string,
+    |g| <= MAX_STRENGTH.
 
     string_thickness 0 is the thin, unobservable string.  Any positive value
     selects the thick-string model; the value itself does not enter the phase.
@@ -73,10 +80,10 @@ class MonopoleScene:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.strength_g, self.string_thickness))):
             raise ValueError("strength_g and string_thickness must be finite")
+        if abs(self.strength_g) > MAX_STRENGTH:
+            raise ValueError(f"|strength_g| must be at most {MAX_STRENGTH}, "
+                             f"got {self.strength_g}")
         doubled = 2.0 * self.strength_g
-        if not math.isfinite(doubled):
-            raise ValueError(f"strength_g={self.strength_g} is too large: "
-                             f"2*strength_g overflows")
         if abs(doubled - round(doubled)) > 1e-9 or round(doubled) == 0:
             raise ValueError(
                 f"strength_g must be a nonzero half-integer, got {self.strength_g}"
@@ -137,29 +144,14 @@ def _canonical_window(omega):
     return omega
 
 
-def solid_angle(loop):
-    """Signed solid angle subtended by the loop at the origin.
-
-    The loop points are projected onto the unit sphere and fan-triangulated
-    from an apex chosen (from a fixed direction grid) to stay far from both
-    the projected curve and its antipodal image; this keeps every triangle
-    well conditioned even when the curve passes through a pole, which
-    happens whenever |b1| = 1.  Richardson extrapolation of the polygon
-    area in the sample count removes the leading discretization error, so
-    doubling n_samples beyond 4096 changes the result by far less than
-    1e-6.  Returns the representative in (-2*pi, 2*pi]; the value is only
-    defined modulo 4*pi.
-    """
-    if loop.origin_distance() < 1e-9:
-        raise DegenerateLoop(
-            f"loop at (b1={loop.b1}, bz={loop.bz}) passes through the origin"
-        )
-    n = loop.n_samples
+def _loop_area(b1, height, n):
+    """Fan-sum area of the counterclockwise loop of n samples centered at
+    (b1, 0, height), height >= 0, with Richardson extrapolation."""
     cos_t, sin_t = _unit_circle(n)
     pts = np.empty((n, 3))
-    pts[:, 0] = loop.b1 + cos_t
+    pts[:, 0] = b1 + cos_t
     pts[:, 1] = sin_t
-    pts[:, 2] = loop.bz
+    pts[:, 2] = height
     r = np.sqrt(np.einsum("ki,ki->k", pts, pts))
     u = pts / r[:, None]
     # apex farthest from the curve and its antipode (largest |cos| margin);
@@ -170,10 +162,42 @@ def solid_angle(loop):
     apex = _APEX_CANDIDATES[int(np.argmin(alignment))]
     area_full = _fan_sum(u, apex)
     area_half = _fan_sum(u[::2], apex)
-    area = (4.0 * area_full - area_half) / 3.0
-    # reversal negates the signed area before branch selection, so the
-    # orientation antisymmetry is exact away from the +-2*pi branch edge
-    return _canonical_window(loop.orientation * area)
+    return (4.0 * area_full - area_half) / 3.0
+
+
+# Areas of the loops of the trace _solid_angle_trace is computing, keyed by
+# the bits of (b1, |bz|) and n_samples; None outside that call.
+_trace_areas = None
+
+
+def solid_angle(loop):
+    """Signed solid angle subtended by the loop at the origin.
+
+    The loop points are projected onto the unit sphere and fan-triangulated
+    from an apex chosen (from a fixed direction grid) to stay far from both
+    the projected curve and its antipodal image; this keeps every triangle
+    well conditioned even when the curve passes through a pole, which
+    happens whenever |b1| = 1.  Richardson extrapolation of the polygon
+    area in the sample count removes the leading discretization error, so
+    doubling n_samples beyond 4096 changes the result by far less than
+    1e-6.  The area is computed for the loop at |bz| and takes the sign of
+    bz, so Omega(b1, -bz) = -Omega(b1, bz) exactly away from the +-2*pi
+    window edge, also for bz = -0.0.  Returns the representative in
+    (-2*pi, 2*pi]; the value is only defined modulo 4*pi.
+    """
+    if loop.origin_distance() < 1e-9:
+        raise DegenerateLoop(
+            f"loop at (b1={loop.b1}, bz={loop.bz}) passes through the origin"
+        )
+    height = abs(loop.bz)
+    areas = {} if _trace_areas is None else _trace_areas
+    key = (struct.pack("2d", loop.b1, height), loop.n_samples)
+    if key not in areas:
+        areas[key] = _loop_area(loop.b1, height, loop.n_samples)
+    # reversal and mirroring negate the signed area before branch selection,
+    # so both antisymmetries are exact away from the +-2*pi branch edge
+    sign = loop.orientation * math.copysign(1.0, loop.bz)
+    return _canonical_window(sign * areas[key])
 
 
 def unwrap_solid_angles(omegas):
@@ -187,8 +211,15 @@ def unwrap_solid_angles(omegas):
 
 def _solid_angle_trace(circuit_samples):
     """Solid angles of the loops centered at the samples, as computed and
-    unwrapped to a continuous branch."""
-    omegas = [solid_angle(LoopGeometry(b1, bz)) for b1, bz in circuit_samples]
+    unwrapped to a continuous branch.  solid_angle runs once per sample,
+    but computes the area of a z-mirror or a repeat of an earlier loop of
+    the call only once; nothing is kept past the call."""
+    global _trace_areas
+    _trace_areas = {}
+    try:
+        omegas = [solid_angle(LoopGeometry(b1, bz)) for b1, bz in circuit_samples]
+    finally:
+        _trace_areas = None
     return omegas, unwrap_solid_angles(omegas)
 
 
@@ -201,8 +232,11 @@ def oracle_phase_trace(circuit_samples, two_j=1):
     scale two_j is the signed spin factor: omega_sign * (two_j - 2*branch)
     for a trace started in eigenstate branch, and two_j for the oracle
     command.  A closed circuit looping a degeneracy once accumulates
-    -+2*pi*two_j.
+    -+2*pi*two_j.  |two_j| is at most MAX_TWO_J, as a spin's is.
     """
+    if not abs(two_j) <= MAX_TWO_J:
+        raise ValueError(f"the oracle's spin factor two_j must lie in "
+                         f"[-{MAX_TWO_J}, {MAX_TWO_J}], got {two_j}")
     _, unwrapped = _solid_angle_trace(circuit_samples)
     return ORACLE_SIGN * two_j * (unwrapped - unwrapped[0]) / 2.0
 

@@ -31,6 +31,7 @@ from geomphase import (
     wrap_angle,
 )
 from geomphase import circuits, phase, spinsys
+from geomphase.circuits import MAX_POINTS
 from geomphase.spinsys import SAMPLING_RULES, hamiltonian_at, step_unitary
 
 TWO_PI = 2.0 * np.pi
@@ -83,6 +84,20 @@ class TestCircuitValidation:
     def test_wraparound_repeat(self):
         with pytest.raises(ValueError):
             Circuit(((0.0, 0.0), (1.0, 0.0), (0.0, 0.0)))
+
+    def test_points_per_segment_must_be_an_integer(self):
+        square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+        for bad in (True, 2.0, 2.5, "3", None):
+            with pytest.raises(ValueError):
+                Circuit(square, bad)
+        assert Circuit(square, np.int64(3)).points_per_segment == 3
+
+    def test_points_capped(self):
+        square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+        assert len(sample_circuit(Circuit(square, MAX_POINTS // 4))) == MAX_POINTS + 1
+        for pps in (MAX_POINTS // 4 + 1, 10 ** 8, 10 ** 400):
+            with pytest.raises(ValueError, match="MAX_POINTS"):
+                Circuit(square, pps)
 
     def test_non_finite_vertex(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -392,6 +407,36 @@ class TestSweep:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sweep_plane((0, 1), (0, 1), (1, 5), beta=1.0)
+        # checked before the grid is allocated
+        for grid in ((MAX_POINTS // 2 + 1, 2), (10 ** 5, 10 ** 5)):
+            with pytest.raises(ValueError, match="MAX_POINTS"):
+                sweep_plane((0, 1), (0, 1), grid, beta=1.0)
+
+    @pytest.mark.parametrize("two_j", [-1, 0, spinsys.MAX_TWO_J + 1])
+    def test_spin_checked_before_blocks_are_sized(self, two_j):
+        # two_j = -1 made the block size divide by zero
+        with pytest.raises(ValueError, match="two_j"):
+            sweep_plane((0, 1), (0, 1), (2, 2), 1.0, two_j, FAST)
+
+    @pytest.mark.parametrize("two_j", [2, 3])
+    def test_mirror_in_bz_every_branch(self, two_j):
+        # c(b1, -bz) = c(b1, bz) and alpha(b1, -bz) = -alpha(b1, bz); the
+        # grids are exact mirrors, since linspace of negated ends is negated
+        settings = PropagationSettings(500)
+        for branch in range(two_j + 1):
+            # b1 keeps 0.3 from the degeneracies, where a small c would
+            # magnify rounding in alpha
+            up = sweep_plane((-1.7, 1.7), (0.1, 1.3), (4, 5), 7.0, two_j,
+                             settings, branch=branch)
+            down = sweep_plane((-1.7, 1.7), (-0.1, -1.3), (4, 5), 7.0, two_j,
+                               settings, branch=branch)
+            assert (down.bz_values == -up.bz_values).all()
+            np.testing.assert_allclose(down.modulus_c, up.modulus_c, rtol=0, atol=1e-13)
+            defined = ~np.isnan(up.alpha_wrapped)
+            assert (defined == ~np.isnan(down.alpha_wrapped)).all()
+            gap = wrap_angle(down.alpha_wrapped + up.alpha_wrapped)[defined]
+            assert np.abs(gap).max() < 1e-13, branch
+            assert up.modulus_c.min() > 0.01
 
 
 class TestBlockReadings:

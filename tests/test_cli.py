@@ -383,6 +383,16 @@ class TestRun:
                      "out.csv", id="sweep --two-j huge"),
         pytest.param(["simulate", "--circuit", "spqrs", "--steps", "9" * 401],
                      "out.csv", id="simulate --steps huge"),
+        # above MAX_POINTS: would have allocated gigabytes before the cap
+        (["simulate", "--circuit", "spqrs",
+          "--points-per-segment", "1000000000"], "out.csv"),
+        (["sweep", *SMALL_SWEEP, "--nx", "100000", "--ny", "100000"], "out.csv"),
+        # an oracle scale or a strength that overflows the phase: were
+        # overflow warnings and inf in the output
+        (["oracle", "--circuit", "spqrs", "--two-j", str(10 ** 308)], "out.csv"),
+        (["monopole", "--circuit", "spqrs", "--strength", "5e307"], "out.csv"),
+        # made the block size divide by zero
+        (["sweep", *SMALL_SWEEP, "--two-j=-1"], "out.csv"),
         # above MAX_STEPS and MAX_TWO_J: ran for minutes before the caps
         (["simulate", "--circuit", "spqrs", "--steps", "100000001"], "out.csv"),
         (["sweep", *SMALL_SWEEP, "--two-j", "101"], "out.csv"),

@@ -1,5 +1,7 @@
 """Solid angles, the adiabatic oracle and monopole transport."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,10 @@ from geomphase import (
     unwrap_solid_angles,
     winding_number,
 )
+from geomphase import geometry
 from geomphase.circuits import Circuit, preset_circuit
+from geomphase.geometry import MAX_STRENGTH
+from geomphase.spinsys import MAX_TWO_J
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
@@ -106,6 +111,26 @@ class TestSolidAngle:
             rev = solid_angle(LoopGeometry(b1, bz, orientation=-1))
             assert rev == -fwd
 
+    def test_z_mirror_antisymmetry(self):
+        # the loop at -bz is the mirror image of the loop at bz, which
+        # reverses its orientation as seen from the origin
+        rng = np.random.default_rng(35)
+        checked = 0
+        for _ in range(200):
+            b1 = float(rng.uniform(-2.0, 2.0))
+            bz = float(rng.uniform(0.0, 1.5))
+            up = solid_angle(LoopGeometry(b1, bz))
+            if abs(abs(up) - TWO_PI) < 1e-6:
+                continue  # the window edge picks +2*pi on both sides
+            assert solid_angle(LoopGeometry(b1, -bz)) == -up, (b1, bz)
+            checked += 1
+        assert checked > 150
+        for b1 in (-2.0, 1.5):
+            up = solid_angle(LoopGeometry(b1, 0.0))
+            down = solid_angle(LoopGeometry(b1, -0.0))
+            assert down == -up
+            assert math.copysign(1.0, down) == -math.copysign(1.0, up)
+
     def test_pole_passage_continuity(self):
         # at |b1| = 1 the projected loop runs through a pole; the value must
         # interpolate its neighbours smoothly
@@ -155,6 +180,37 @@ class TestOracleTrace:
         points = [tuple(p) for p in sample_circuit(circuit)]
         oracle = oracle_phase_trace(points, two_j=3)
         assert oracle[-1] - oracle[0] == pytest.approx(-3 * TWO_PI, abs=1e-5)
+
+    def test_loop_areas_shared_within_one_trace(self, monkeypatch):
+        # every sample is still a solid_angle call, but a z-mirror or a
+        # repeat of an earlier loop of the trace reuses its area
+        circuit, _ = preset_circuit("abcda")
+        points = sample_circuit(circuit)
+        alone = [solid_angle(LoopGeometry(b1, bz)) for b1, bz in points]
+        calls = {"solid_angle": 0, "_loop_area": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(geometry, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(geometry, name, counted)
+        omegas, _ = geometry._solid_angle_trace(points)
+        assert omegas == alone
+        distinct = {(float(b1), abs(float(bz))) for b1, bz in points}
+        assert calls == {"solid_angle": 401, "_loop_area": len(distinct)}
+        assert len(distinct) == 401 - 125
+        assert geometry._trace_areas is None
+
+    def test_loop_areas_dropped_after_a_failed_trace(self):
+        with pytest.raises(DegenerateLoop):
+            oracle_phase_trace([(0.5, 0.2), (0.5, -0.2), (1.0, 0.0)])
+        assert geometry._trace_areas is None
+
+    def test_spin_factor_capped(self):
+        points = rect_points([(2.0, 1.0), (3.0, 1.0), (3.0, -1.0), (2.0, -1.0)], 2)
+        assert oracle_phase_trace(points, -MAX_TWO_J)[0] == 0.0
+        for two_j in (MAX_TWO_J + 1, -MAX_TWO_J - 1, 10 ** 308, 10 ** 400, np.nan):
+            with pytest.raises(ValueError):
+                oracle_phase_trace(points, two_j)
 
     def test_sign_constant_is_locked(self):
         # regression: the global sign was fixed by matching the simulated
@@ -236,9 +292,11 @@ class TestAbPhase:
         )
 
     def test_strength_validation(self):
-        for strength in (0.3, 0.0, np.inf, np.nan, 1e308):
+        for strength in (0.3, 0.0, np.inf, np.nan, 1e308, 5e307,
+                         MAX_STRENGTH + 0.5, -MAX_STRENGTH - 0.5):
             with pytest.raises(ValueError):
                 MonopoleScene(strength)
+        assert MonopoleScene(-MAX_STRENGTH).strength_g == -MAX_STRENGTH
 
     def test_string_direction_must_be_unit(self):
         with pytest.raises(ValueError):

@@ -824,6 +824,25 @@ class TestPropagationInvariants:
                 f"bz={params.bz}, beta={params.beta}, two_j={params.two_j}"
             )
 
+    @pytest.mark.parametrize("n_steps", [20000, 70001])  # one chunk, several
+    @pytest.mark.parametrize("sampling_rule", SAMPLING_RULES)
+    @pytest.mark.parametrize("omega_sign", [1, -1])
+    def test_propagator_mirror_is_bit_exact(self, n_steps, sampling_rule, omega_sign):
+        # sigma_x maps H_-(b1, bz) onto H_+(b1, -bz) step by step and flips
+        # only signs, so the spin-1/2 kernel gives the same bits
+        assert n_steps <= CHUNK_STEPS or n_steps > 2 * CHUNK_STEPS
+        rng = np.random.default_rng(103)
+        settings = PropagationSettings(n_steps, sampling_rule)
+        pauli_x = 2.0 * SX
+        for _ in range(2):
+            b1, bz = rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5)
+            beta = rng.uniform(0.0, 30.0)
+            plus = total_unitary(FieldParams(b1, -bz, beta, 1, omega_sign),
+                                 ArmSense.PLUS, settings)
+            minus = total_unitary(FieldParams(b1, bz, beta, 1, omega_sign),
+                                  ArmSense.MINUS, settings)
+            assert plus.tobytes() == (pauli_x @ minus @ pauli_x).tobytes(), (b1, bz)
+
     def test_step_count_convergence(self):
         params = FieldParams(0.8, 0.3, 5.0)
 
