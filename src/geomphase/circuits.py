@@ -87,7 +87,6 @@ class TraceMetadata:
     branch: int
     n_steps: int
     sampling_rule: str
-    exp_method: str
     circuit_name: str
     vertices: tuple
     points_per_segment: int
@@ -141,7 +140,9 @@ def sample_circuit(circuit):
 def _readings(points, beta, two_j, omega_sign, settings, branch):
     """Readings (c, alpha) at the rows (b1, bz) of points, as two arrays;
     alpha is NaN where phase.reading finds the arm states orthogonal.  The
-    points are propagated a block at a time, then read one by one."""
+    points are started and propagated a block at a time, then read one by
+    one.  A block's start states come first, so a bad branch raises before
+    anything is propagated, and a degenerate start before its block is."""
     overlaps = np.empty(len(points), complex)
     # the first point's FieldParams checks two_j before it sizes the blocks
     first = spinsys.FieldParams(*points[0], beta, two_j, omega_sign)
@@ -149,8 +150,8 @@ def _readings(points, beta, two_j, omega_sign, settings, branch):
     for start in range(0, len(points), size):
         block = [spinsys.FieldParams(b1, bz, beta, two_j, omega_sign)
                  for b1, bz in points[start:start + size]]
-        spinsys.propagate_block(block, settings)
         states = spinsys.initial_states(block, branch)
+        spinsys.propagate_block(block, settings)
         for k, (params, psi0) in enumerate(zip(block, states), start):
             psi1, psi2 = (spinsys.total_unitary(params, arm, settings) @ psi0
                           for arm in spinsys.ArmSense)  # PLUS, then MINUS
@@ -232,9 +233,8 @@ def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings()
         metadata=TraceMetadata(
             beta=beta, two_j=two_j, omega_sign=omega_sign, branch=branch,
             n_steps=settings.n_steps, sampling_rule=settings.sampling_rule,
-            exp_method=settings.exp_method, circuit_name=circuit.name,
-            vertices=circuit.vertices, points_per_segment=circuit.points_per_segment,
-            refine=refine),
+            circuit_name=circuit.name, vertices=circuit.vertices,
+            points_per_segment=circuit.points_per_segment, refine=refine),
     )
 
 
@@ -252,8 +252,9 @@ def max_oracle_deviation(trace):
 def winding_number(vertices, point):
     """Signed number of turns of a closed polygon around a point.
 
-    Standard crossing-number accumulation; used as the independent check
-    that trace windings count the enclosed singular points.
+    The angle each edge subtends at the point, wrapped into (-pi, pi],
+    summed over the edges and divided by 2*pi; used as the independent
+    check that trace windings count the enclosed singular points.
     """
     x0, y0 = point
     v = np.asarray(vertices, dtype=float)

@@ -125,7 +125,6 @@ def _build_parser():
                   propagate=True)
     sim.add_argument("--sampling", dest="sampling_rule",
                      choices=spinsys.SAMPLING_RULES, default="left_endpoint")
-    sim.add_argument("--exp-method", choices=spinsys.EXP_METHODS, default="auto")
     sim.add_argument("--refine", action="store_true")
     sim.add_argument("--branch", type=int, default=0,
                      help="starting eigenstate index, 0 = lowest")
@@ -187,8 +186,6 @@ def _config_from_namespace(ns):
         ns.beta = preset_beta if ns.beta is None else ns.beta
         if ns.beta is None:
             raise ValueError("--beta is required for non-preset circuits")
-        if not 0 <= ns.branch <= ns.two_j:
-            raise ValueError("--branch must lie in [0, two_j]")
     elif ns.command == "monopole":
         ns.scene = geometry.MonopoleScene(
             strength_g=ns.strength, string_thickness=ns.string_thickness
@@ -251,8 +248,7 @@ def run(config):
 
 
 def _run_simulate(config):
-    settings = spinsys.PropagationSettings(
-        config.n_steps, config.sampling_rule, config.exp_method)
+    settings = spinsys.PropagationSettings(config.n_steps, config.sampling_rule)
     trace = circuits.trace_circuit(
         config.circuit, config.beta, two_j=config.two_j, settings=settings,
         refine=config.refine, omega_sign=config.omega_sign, branch=config.branch,

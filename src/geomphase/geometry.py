@@ -33,10 +33,13 @@ MAX_STRENGTH = 10 ** 6
 # locked by a regression test.
 ORACLE_SIGN = 1.0
 
+# Points per loop in solid_angle's fan-sum area
+LOOP_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class LoopGeometry:
-    """Unit circle of center (b1, 0, bz), discretized with n_samples points.
+    """Unit circle of center (b1, 0, bz).
 
     orientation +1 traverses the circle counterclockwise as seen from +z;
     -1 reverses the traversal.
@@ -44,14 +47,11 @@ class LoopGeometry:
 
     b1: float
     bz: float
-    n_samples: int = 4096
     orientation: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.b1) and math.isfinite(self.bz)):
             raise ValueError(f"b1 and bz must be finite, got ({self.b1}, {self.bz})")
-        if self.n_samples < 64:
-            raise ValueError(f"n_samples must be >= 64, got {self.n_samples}")
         if self.orientation not in (1, -1):
             raise ValueError(f"orientation must be +1 or -1, got {self.orientation}")
 
@@ -144,7 +144,7 @@ def _canonical_window(omega):
     return omega
 
 
-def _loop_area(b1, height, n):
+def _loop_area(b1, height, n=LOOP_SAMPLES):
     """Fan-sum area of the counterclockwise loop of n samples centered at
     (b1, 0, height), height >= 0, with Richardson extrapolation."""
     cos_t, sin_t = _unit_circle(n)
@@ -166,21 +166,21 @@ def _loop_area(b1, height, n):
 
 
 # Areas of the loops of the trace _solid_angle_trace is computing, keyed by
-# the bits of (b1, |bz|) and n_samples; None outside that call.
+# the bits of (b1, |bz|); None outside that call.
 _trace_areas = None
 
 
 def solid_angle(loop):
     """Signed solid angle subtended by the loop at the origin.
 
-    The loop points are projected onto the unit sphere and fan-triangulated
-    from an apex chosen (from a fixed direction grid) to stay far from both
-    the projected curve and its antipodal image; this keeps every triangle
-    well conditioned even when the curve passes through a pole, which
-    happens whenever |b1| = 1.  Richardson extrapolation of the polygon
-    area in the sample count removes the leading discretization error, so
-    doubling n_samples beyond 4096 changes the result by far less than
-    1e-6.  The area is computed for the loop at |bz| and takes the sign of
+    LOOP_SAMPLES points of the loop are projected onto the unit sphere and
+    fan-triangulated from an apex chosen (from a fixed direction grid) to
+    stay far from both the projected curve and its antipodal image; this
+    keeps every triangle well conditioned even when the curve passes
+    through a pole, which happens whenever |b1| = 1.  Richardson
+    extrapolation of the polygon area in the sample count removes the
+    leading discretization error, so doubling the points changes the
+    result by far less than 1e-6.  The area is computed for the loop at |bz| and takes the sign of
     bz, so Omega(b1, -bz) = -Omega(b1, bz) exactly away from the +-2*pi
     window edge, also for bz = -0.0.  Returns the representative in
     (-2*pi, 2*pi]; the value is only defined modulo 4*pi.
@@ -191,9 +191,9 @@ def solid_angle(loop):
         )
     height = abs(loop.bz)
     areas = {} if _trace_areas is None else _trace_areas
-    key = (struct.pack("2d", loop.b1, height), loop.n_samples)
+    key = struct.pack("2d", loop.b1, height)
     if key not in areas:
-        areas[key] = _loop_area(loop.b1, height, loop.n_samples)
+        areas[key] = _loop_area(loop.b1, height)
     # reversal and mirroring negate the signed area before branch selection,
     # so both antisymmetries are exact away from the +-2*pi branch edge
     sign = loop.orientation * math.copysign(1.0, loop.bz)

@@ -19,20 +19,19 @@ Spin states are plain complex numpy vectors of length two_j + 1 with unit
 Euclidean norm; no wrapper class is used.
 
 Propagation multiplies n_steps short-time unitaries U_k = exp(-i H(t_k) dt)
-in time order.  Each exp_method has a chunk loop that builds the steps of a
-chunk of CHUNK_STEPS (fewer for dense matrices above spin-3/2) as one array
-whose time axis is axis 1; the one pairwise reducer, _ordered, multiplies
-them in time order onto a running product, so memory stays bounded for any
-n_steps and spin.  H(t) lies in su(2), so by default ("auto") each step is
-the Cayley-Klein pair (a, b) of its spin-1/2 image [[a, b], [-b*, a*]], with
-cos and sin of its angle taken from one tan of the half angle.  e^{-i t_k}
-over one chunk is cached per grid.  The default method propagates a block of
-points at once, and each chunk of each point and arm is one tree of the
-pairwise product.  A chunk's steps are built for up to CHUNK_STEPS // n_steps
-points at a time (one point, chunked, past CHUNK_STEPS/2 steps) as one
-(2, points, steps) array.  The two arms see B_y of opposite sign, so one
-arm's steps are (a, b) and the other's (a, -b*): propagate_block builds each
-chunk's steps once, reduces them, flips b in place and reduces them again.
+in time order.  H(t) lies in su(2), so each step is the Cayley-Klein pair
+(a, b) of its spin-1/2 image [[a, b], [-b*, a*]], with cos and sin of its
+angle taken from one tan of the half angle.  A chunk loop builds the steps
+of a chunk of CHUNK_STEPS as one array whose time axis is axis 1, and the
+one pairwise reducer, _ordered, multiplies them in time order, so memory
+stays bounded for any n_steps and spin.  e^{-i t_k} over one chunk is
+cached per grid.  Points are propagated a block at a time, and each chunk
+of each point and arm is one tree of the pairwise product.  A chunk's steps
+are built for up to CHUNK_STEPS // n_steps points at a time (one point,
+chunked, past CHUNK_STEPS/2 steps) as one (2, points, steps) array.  The
+two arms see B_y of opposite sign, so one arm's steps are (a, b) and the
+other's (a, -b*): propagate_block builds each chunk's steps once, reduces
+them, flips b in place and reduces them again.
 Each tree is reduced on its own only until at most TAIL entries are left,
 past which its levels are too short to keep numpy busy; the tails go into
 one tail buffer of CHUNK_STEPS entries, laid out [pair, step, tree], and
@@ -49,9 +48,6 @@ The final pairs are the 2x2 propagators; their spin-J lifts, which equal the
 dimension-N step products exactly, come from one stacked eigh and are kept
 for total_unitary, which reads each point's arms from them and propagates a
 point alone only when no block held it.
-"eigendecomposition" exponentiates the dense spin-J Hamiltonian at each
-step instead, an independent check, point by point, and reduces
-(1, m, N, N) steps.
 """
 
 import functools
@@ -67,8 +63,7 @@ from .errors import DegenerateStart, NonHermitianInput
 T_TOTAL = np.pi
 
 SAMPLING_RULES = ("left_endpoint", "midpoint")
-EXP_METHODS = ("auto", "eigendecomposition")
-# Steps per chunk; the default path's step grid takes 0.5 MiB.
+# Steps per chunk; a chunk's step grid takes 0.5 MiB.
 CHUNK_STEPS = 2 ** 15
 # A tree is reduced on its own until at most TAIL entries are left; its
 # shorter levels cost more in numpy's per-call overhead than in arithmetic,
@@ -144,15 +139,12 @@ class PropagationSettings:
 
     n_steps: int = 20000
     sampling_rule: str = "left_endpoint"
-    exp_method: str = "auto"
 
     def __post_init__(self):
         if not 1 <= self.n_steps <= MAX_STEPS:
             raise ValueError(f"n_steps must be in [1, {MAX_STEPS}], got {self.n_steps}")
         if self.sampling_rule not in SAMPLING_RULES:
             raise ValueError(f"unknown sampling_rule {self.sampling_rule!r}")
-        if self.exp_method not in EXP_METHODS:
-            raise ValueError(f"unknown exp_method {self.exp_method!r}")
 
     @property
     def dt(self):
@@ -184,22 +176,16 @@ def spin_matrices(two_j):
     return sx, sy, sz
 
 
-def _field_coefficients(params, t, arm):
-    """Cartesian components of 2*beta*B_arm(t); t may be an array."""
-    c = 2.0 * params.beta
-    cx = c * (params.b1 + np.cos(t))
-    cy = c * int(arm) * params.omega_sign * np.sin(t)
-    cz = c * params.bz * np.ones_like(np.asarray(t, dtype=float))
-    return cx, cy, cz
-
-
 def hamiltonian_at(params, t, arm):
     """Instantaneous Hamiltonian H(t) = 2*beta*(B_arm(t) . S)."""
     if not 0.0 <= t <= T_TOTAL:
         raise ValueError(f"t must lie in [0, pi], got {t}")
     sx, sy, sz = spin_matrices(params.two_j)
-    cx, cy, cz = _field_coefficients(params, float(t), arm)
-    return cx * sx + cy * sy + cz * sz
+    t = float(t)
+    c = 2.0 * params.beta
+    return (c * (params.b1 + np.cos(t)) * sx
+            + c * int(arm) * params.omega_sign * np.sin(t) * sy
+            + c * params.bz * sz)
 
 
 def initial_state(params, branch=0):
@@ -255,23 +241,15 @@ def _check_hermitian(H):
         raise NonHermitianInput(f"matrix deviates from Hermiticity by {dev:.3e}")
 
 
-def step_unitary(H, dt, method="auto"):
-    """Short-time propagator U = exp(-i H dt) for a Hermitian H.
-
-    method "exact_2x2" is the closed-form Cayley-Klein expression, which
-    needs dimension 2, and "eigendecomposition" works in any dimension;
-    "auto" picks the first in dimension 2 and the second otherwise.
-    """
+def step_unitary(H, dt):
+    """Short-time propagator U = exp(-i H dt) for a Hermitian H: the
+    closed-form Cayley-Klein expression in dimension 2, and eigh of H in
+    any other."""
     H = np.asarray(H, dtype=complex)
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     _check_hermitian(H)
-    n = H.shape[0]
-    if method == "auto":
-        method = "exact_2x2" if n == 2 else "eigendecomposition"
-    if method == "exact_2x2":
-        if n != 2:
-            raise ValueError("exact_2x2 requires a 2x2 Hamiltonian")
+    if H.shape[0] == 2:
         # H = a0 + v . sigma with the trace phase a0 split off
         a0 = 0.5 * (H[0, 0] + H[1, 1]).real
         w = np.array([np.conj(H[1, 0])])
@@ -279,10 +257,8 @@ def step_unitary(H, dt, method="auto"):
                          np.empty(1, complex), np.empty((4, 1)),
                          np.empty(1, bool))
         return np.exp(-1j * a0 * dt) * _ck_matrix(a[0], b[0])
-    if method == "eigendecomposition":
-        w, v = np.linalg.eigh(H)
-        return (v * np.exp(-1j * w * dt)) @ v.conj().T
-    raise ValueError(f"unknown exp method {method!r}")
+    w, v = np.linalg.eigh(H)
+    return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
 def _ck_steps(w, vz, h, a, real, mask):
@@ -578,11 +554,8 @@ def _memo_key(params, settings):
 def propagate_block(params, settings=PropagationSettings()):
     """Propagate both arms of a block of at most block_points FieldParams
     sharing two_j in one pass, and keep the propagators for total_unitary,
-    in place of the last block's.  The eigendecomposition method keeps
-    none: it propagates each arm when it is asked for."""
+    in place of the last block's."""
     _block_memo.clear()
-    if settings.exp_method == "eigendecomposition":
-        return
     two_j = _block_spin(params)
     most = block_points(two_j, settings.n_steps)
     if len(params) > most:
@@ -594,41 +567,10 @@ def propagate_block(params, settings=PropagationSettings()):
         _block_memo[_memo_key(p, settings)] = lifts[:, j]
 
 
-def _total_unitary_dense(params, arm, settings):
-    sx, sy, sz = spin_matrices(params.two_j)
-
-    def chunk(start, stop):
-        cx, cy, cz = _field_coefficients(
-            params, _step_times(settings, start, stop), arm)
-        # H is not named, so it is freed before the steps are formed
-        w, v = np.linalg.eigh(
-            cx[:, None, None] * sx
-            + cy[:, None, None] * sy
-            + cz[:, None, None] * sz
-        )
-        phases = np.exp(-1j * w * settings.dt)
-        return np.einsum("kij,kj,klj->kil", v, phases, v.conj())[None]
-
-    n = settings.n_steps
-    # as many matrix elements per chunk as a spin-3/2 chunk, at any spin
-    size = min(n, max(1, min(CHUNK_STEPS, CHUNK_STEPS * 16 // params.dim ** 2)))
-    half = (size + 1) // 2
-    levels = tuple(np.empty((1, k, params.dim, params.dim), complex)
-                   for k in (half, (half + 1) // 2))
-    total = np.eye(params.dim, dtype=complex)[None]
-    for start in range(0, n, size):
-        # the chunk is not named, so it is freed before the next is built
-        total = np.matmul(_ordered(chunk(start, min(start + size, n)),
-                                   np.matmul, levels)[:, 0], total)
-    return total[0]
-
-
 def total_unitary(params, arm, settings=PropagationSettings()):
-    """Time-ordered propagator over one cycle for the given arm.  The
-    default method reads it from the block propagate_block filled last, and
-    propagates the point as a block of its own when that block lacks it."""
-    if settings.exp_method == "eigendecomposition":
-        return _total_unitary_dense(params, arm, settings)
+    """Time-ordered propagator over one cycle for the given arm, read from
+    the block propagate_block filled last; a point that block lacks is
+    propagated as a block of its own."""
     key = _memo_key(params, settings)
     if key not in _block_memo:
         propagate_block([params], settings)

@@ -8,6 +8,7 @@ import pytest
 from geomphase import (
     ArmSense,
     Circuit,
+    DegenerateStart,
     FieldParams,
     OrthogonalStates,
     PancharatnamReading,
@@ -167,21 +168,6 @@ class TestTraceCircuit:
         assert enclosed_singularity_count(circuit) == -2
         trace = trace_circuit(circuit, beta=30.0, settings=FAST, refine=True)
         assert winding(trace) == -2
-
-    def test_exp_method_plumbs_through_trace(self):
-        circuit, _ = preset_circuit("spqrs")
-        small = Circuit(circuit.vertices, 5, circuit.name)
-        dense = trace_circuit(
-            small, 40.0, two_j=2,
-            settings=PropagationSettings(500, exp_method="eigendecomposition"),
-        )
-        auto = trace_circuit(
-            small, 40.0, two_j=2, settings=PropagationSettings(500)
-        )
-        assert dense.metadata.exp_method == "eigendecomposition"
-        np.testing.assert_allclose(
-            dense.alphas_unwrapped(), auto.alphas_unwrapped(), atol=1e-10
-        )
 
     def test_spin_scaling_of_winding(self):
         circuit, _ = preset_circuit("spqrs")
@@ -520,6 +506,27 @@ class TestBlockReadings:
         calls.clear()
         sweep_plane((0.6, 1.3), (-0.2, 0.3), (3, 4), 30.0, 3, PropagationSettings(500))
         assert calls == [ArmSense.PLUS, ArmSense.MINUS] * 12
+
+    def test_start_states_checked_before_propagation(self, monkeypatch):
+        # a bad branch raises before any block is propagated, and a
+        # degenerate start before the block that holds it
+        blocks = []
+        propagate_block = spinsys.propagate_block
+
+        def counting(params, settings):
+            blocks.append(len(params))
+            return propagate_block(params, settings)
+
+        monkeypatch.setattr(spinsys, "propagate_block", counting)
+        circuit, beta = preset_circuit("spqrs")
+        with pytest.raises(ValueError, match="branch"):
+            trace_circuit(circuit, beta, branch=2)
+        assert blocks == []
+        # cell 220 of 441 sits at (-1, 0), in the third block of 103 points
+        assert spinsys.block_points(1, 20000) == 103
+        with pytest.raises(DegenerateStart, match="b1=-1.0, bz=0.0"):
+            sweep_plane((-1.5, -0.5), (-0.1, 0.1), (21, 21), 20.0)
+        assert blocks == [103, 103]
 
     def test_block_memory_bounded_in_points_and_spin(self):
         # 10000 points of 2 steps at spin-4: blocks of at most 404 points

@@ -96,11 +96,22 @@ class TestParse:
                           "--string-thickness", "0.1", "--out", str(tmp_path / "t.csv")])
         assert cfg.scene == MonopoleScene(-0.5, string_thickness=0.1)
 
-    def test_branch_out_of_range_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_args(["simulate", "--circuit", "abcda", "--branch", "2",
-                        "--out", str(tmp_path / "t.csv")])
-        assert excinfo.value.code == 2
+    def test_branch_out_of_range_exits_2(self, tmp_path, capsys):
+        # the rule lives in spinsys.initial_states, which runs before any
+        # propagation
+        out = tmp_path / "t.csv"
+        for branch in ("2", "-1"):
+            assert main(["simulate", "--circuit", "abcda", "--branch", branch,
+                         "--out", str(out)]) == 2
+            assert "branch must be in [0, 1]" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_exp_method_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--circuit", "spqrs", "--steps", "50",
+                     "--exp-method", "auto", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --exp-method" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_points_per_segment_override(self, tmp_path):
         cfg = parse_args(
@@ -123,8 +134,6 @@ class TestParse:
             "--beta": ("beta", float, None, False, None),
             "--branch": ("branch", int, 0, False, None),
             "--circuit": ("circuit", None, None, True, None),
-            "--exp-method": ("exp_method", None, "auto", False,
-                             ("auto", "eigendecomposition")),
             "--format": ("fmt", None, "csv", False, ("csv", "json")),
             "--omega-sign": ("omega_sign", int, 1, False, (1, -1)),
             "--out": ("out", None, None, True, None),

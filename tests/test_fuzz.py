@@ -117,8 +117,7 @@ def _draw(rng, tmp_path):
         for flag, ordinary, edges in (
                 ("--branch", ["0", "1", "2"], ["-1", HUGE]),
                 ("--omega-sign", ["1", "-1"], ["0"]),
-                ("--sampling", ["left_endpoint", "midpoint"], ["bogus"]),
-                ("--exp-method", ["auto", "eigendecomposition"], ["bogus"])):
+                ("--sampling", ["left_endpoint", "midpoint"], ["bogus"])):
             if rng.random() < 0.3:
                 add(flag, edges, ordinary)
         if rng.random() < 0.3:

@@ -22,8 +22,7 @@ from geomphase import (
     total_unitary,
 )
 from geomphase import spinsys
-from geomphase.spinsys import (CHUNK_STEPS, EXP_METHODS, MAX_STEPS, MAX_TWO_J,
-                               SAMPLING_RULES)
+from geomphase.spinsys import CHUNK_STEPS, MAX_STEPS, MAX_TWO_J, SAMPLING_RULES
 
 SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,6 +41,27 @@ def rotating_frame_solution(params, arm, branch=0):
     rot = scipy.linalg.expm(-1j * np.pi * a * sz)
     frame = scipy.linalg.expm(-1j * np.pi * (2.0 * params.beta * sx - a * sz))
     return rot @ frame @ initial_state(params, branch)
+
+
+def dense_total_unitary(params, arm, settings):
+    """Independent reference for total_unitary: every step exponentiated as
+    a dense spin-J matrix through eigh, all steps at once, and multiplied
+    pairwise over the whole cycle, so the reference shares neither the
+    Cayley-Klein kernel nor its chunk edges."""
+    sx, sy, sz = spin_matrices(params.two_j)
+    shift = 0.5 if settings.sampling_rule == "midpoint" else 0.0
+    t = (np.arange(settings.n_steps) + shift) * settings.dt
+    c = 2.0 * params.beta
+    H = ((c * (params.b1 + np.cos(t)))[:, None, None] * sx
+         + (c * int(arm) * params.omega_sign * np.sin(t))[:, None, None] * sy
+         + c * params.bz * sz)
+    w, v = np.linalg.eigh(H)
+    steps = (v * np.exp(-1j * w * settings.dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    while len(steps) > 1:
+        m = len(steps) - len(steps) % 2
+        # each later step times the earlier one, an odd last step kept as is
+        steps = np.concatenate((steps[1:m:2] @ steps[0:m:2], steps[m:]))
+    return steps[0]
 
 
 def phase_free_deviation(psi, ref):
@@ -185,12 +205,6 @@ class TestSettingsValidation:
         with pytest.raises(ValueError):
             PropagationSettings(sampling_rule="trapezoid")
 
-    def test_rejects_bad_exp_method(self):
-        # exact_2x2 is a step_unitary method only; scaled_series is gone
-        for method in ("pade", "exact_2x2", "scaled_series"):
-            with pytest.raises(ValueError):
-                PropagationSettings(exp_method=method)
-
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             PropagationSettings(n_steps=0)
@@ -240,7 +254,7 @@ class TestStepUnitary:
         for _ in range(20):
             A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             H = A + A.conj().T
-            U1 = step_unitary(H, 0.3, method="eigendecomposition")
+            U1 = step_unitary(H, 0.3)
             U2 = scipy.linalg.expm(-0.3j * H)
             assert np.max(np.abs(U1 - U2)) < 1e-11
 
@@ -249,8 +263,9 @@ class TestStepUnitary:
         for _ in range(20):
             A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             H = A + A.conj().T
-            U1 = step_unitary(H, 0.7, method="exact_2x2")
-            U2 = step_unitary(H, 0.7, method="eigendecomposition")
+            U1 = step_unitary(H, 0.7)
+            w, v = np.linalg.eigh(H)
+            U2 = (v * np.exp(-0.7j * w)) @ v.conj().T
             assert np.max(np.abs(U1 - U2)) < 1e-12
 
     def test_unitarity(self):
@@ -311,14 +326,13 @@ class TestEvolveArm:
                 2.0 * beta * abs(np.sin(np.pi * r)) / r, abs=1e-12
             )
 
-    @pytest.mark.parametrize("method", ["eigendecomposition"])
+    @pytest.mark.parametrize("reference", [dense_total_unitary], ids=["eigendecomposition"])
     @pytest.mark.parametrize("two_j", [1, 2, 3])
-    def test_total_unitary_methods_agree(self, method, two_j):
+    def test_total_unitary_methods_agree(self, reference, two_j):
         params = FieldParams(0.7, 0.4, 3.0, two_j=two_j)
-        auto = total_unitary(params, ArmSense.PLUS, PropagationSettings(500))
-        dense = total_unitary(
-            params, ArmSense.PLUS, PropagationSettings(500, exp_method=method)
-        )
+        settings = PropagationSettings(500)
+        auto = total_unitary(params, ArmSense.PLUS, settings)
+        dense = reference(params, ArmSense.PLUS, settings)
         assert np.max(np.abs(auto - dense)) < 1e-11
 
     def test_total_matches_sequential_step_product(self):
@@ -353,7 +367,7 @@ class TestEvolveArm:
 
 
 class TestQuaternionKernel:
-    """The default path: chunked products of SU(2) elements.
+    """The propagation kernel: chunked products of SU(2) elements.
 
     Each element is held as its Cayley-Klein pair (a, b), the complex form
     a + b j of a unit quaternion.
@@ -364,16 +378,14 @@ class TestQuaternionKernel:
     ])
     @pytest.mark.parametrize("two_j", [1, 2, 3, 4])
     def test_matches_eigendecomposition_across_chunk_edges(self, two_j, n_steps):
-        # The deviation, up to 4.5e-13 here, is mostly the dense product's
-        # rounding: its unitarity drifts by ~1e-12 over 65k steps at two_j = 4.
+        # The deviation, up to 4.1e-13 here, is mostly the dense product's
+        # rounding.
         params = FieldParams(-0.3, -0.8, 7.5, two_j=two_j)
         for rule in SAMPLING_RULES:
+            settings = PropagationSettings(n_steps, rule)
             for arm in ArmSense:
-                default = total_unitary(params, arm, PropagationSettings(n_steps, rule))
-                dense = total_unitary(
-                    params, arm,
-                    PropagationSettings(n_steps, rule, exp_method="eigendecomposition"),
-                )
+                default = total_unitary(params, arm, settings)
+                dense = dense_total_unitary(params, arm, settings)
                 assert np.max(np.abs(default - dense)) < 1e-12, (rule, arm)
 
     @pytest.mark.parametrize("n_steps", [CHUNK_STEPS - 1, CHUNK_STEPS + 1])
@@ -381,12 +393,10 @@ class TestQuaternionKernel:
     def test_negative_omega_sign_matches_eigendecomposition(self, two_j, n_steps):
         params = FieldParams(-0.3, -0.8, 7.5, two_j=two_j, omega_sign=-1)
         for rule in SAMPLING_RULES:
+            settings = PropagationSettings(n_steps, rule)
             for arm in ArmSense:
-                default = total_unitary(params, arm, PropagationSettings(n_steps, rule))
-                dense = total_unitary(
-                    params, arm,
-                    PropagationSettings(n_steps, rule, exp_method="eigendecomposition"),
-                )
+                default = total_unitary(params, arm, settings)
+                dense = dense_total_unitary(params, arm, settings)
                 assert np.max(np.abs(default - dense)) < 1e-12, (rule, arm)
 
     @pytest.mark.parametrize("two_j", [1, 3])
@@ -665,7 +675,8 @@ class TestBlocks:
 
 
 class TestChunkLoop:
-    """Both exp_methods run through one chunk loop and running product."""
+    """Chunk loops and tail buffers shrunk so that a short cycle crosses
+    their edges."""
 
     @pytest.fixture
     def small_chunks(self, monkeypatch):
@@ -680,15 +691,13 @@ class TestChunkLoop:
         spinsys._block_memo.clear()
 
     @pytest.mark.parametrize("two_j", [1, 3, 8])
-    @pytest.mark.parametrize("method", EXP_METHODS)
-    def test_chunk_edges_match_sequential_step_product(self, small_chunks,
-                                                       method, two_j):
+    def test_chunk_edges_match_sequential_step_product(self, small_chunks, two_j):
         # 40 steps make five full chunks of 7 and a partial one; the
         # reference multiplies step_unitary factors one by one, so it shares
         # neither the chunk loop nor the pairwise reduction
         params = FieldParams(0.3, -0.5, 2.0, two_j=two_j)
         for rule in SAMPLING_RULES:
-            settings = PropagationSettings(40, rule, method)
+            settings = PropagationSettings(40, rule)
             dt = settings.dt
             shift = 0.5 if rule == "midpoint" else 0.0
             for arm in ArmSense:
@@ -748,35 +757,6 @@ class TestChunkLoop:
             spinsys.propagate_block([other, params, other], settings)
             assert [total_unitary(params, arm, settings).tobytes()
                     for arm in ArmSense] == alone, rule
-
-    def test_dense_memory_bounded(self):
-        params = FieldParams(0.7, 0.4, 3.0, two_j=2)
-
-        def peak(n_steps):
-            settings = PropagationSettings(n_steps, exp_method="eigendecomposition")
-            tracemalloc.start()
-            try:
-                total_unitary(params, ArmSense.PLUS, settings)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(4 * CHUNK_STEPS + 3) < 1.1 * peak(CHUNK_STEPS + 1)
-
-    def test_dense_memory_bounded_in_spin(self):
-        # the dense chunk holds as many matrix elements at any spin
-        def peak(two_j):
-            params = FieldParams(0.7, 0.4, 3.0, two_j=two_j)
-            settings = PropagationSettings(2 * CHUNK_STEPS + 3,
-                                           exp_method="eigendecomposition")
-            tracemalloc.start()
-            try:
-                total_unitary(params, ArmSense.PLUS, settings)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(8) < 1.1 * peak(3)
 
 
 class TestPropagationInvariants:
