@@ -48,12 +48,23 @@ The final pairs are the 2x2 propagators; their spin-J lifts, which equal the
 dimension-N step products exactly, come from one stacked eigh and are kept
 for total_unitary, which reads each point's arms from them and propagates a
 point alone only when no block held it.
+A block may also keep z-mirrors of its points without propagating them.
+sigma_x maps H_-(b1, bz) onto H_+(b1, -bz) step by step and flips only
+signs, so sense s of the mirror is (a*, -b*) of its partner's sense 1 - s:
+U_+(b1, -bz) = sigma_x U_-(b1, bz) sigma_x.  Every nonzero value of the
+mirror's arithmetic is then the partner's with its sign flipped, so the
+rule gives every bit but the sign of an exact zero; a mirror whose partner's
+pairs hold an exact zero (beta = 0, a single step) is propagated instead.
+Each mirror's pair is lifted with the rest, so its lift has the bits of the
+mirror propagated alone, and the lifts of a block with its mirrors take at
+most twice the elements of the block's.  circuits._readings uses this
+within a trace; it keys the points by the bits of (b1, |bz|).
 """
 
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -407,9 +418,10 @@ def _tail_rows(n_steps):
 def block_points(two_j, n_steps):
     """Points propagated in one block: as many as the tail buffer holds, at
     most CHUNK_STEPS // (two_j + 1)**2 so that the block's spin-J matrices
-    take no more elements than a chunk takes steps, and at least one.  The
-    tail buffer takes CHUNK_STEPS complex entries: the tails of the (a, b)
-    of both senses of one chunk of each point."""
+    take no more elements than a chunk takes steps (twice that with its
+    z-mirrors), and at least one.  The tail buffer takes CHUNK_STEPS
+    complex entries: the tails of the (a, b) of both senses of one chunk of
+    each point."""
     return max(1, min(CHUNK_STEPS // (4 * _tail_rows(n_steps)),
                       CHUNK_STEPS // (two_j + 1) ** 2))
 
@@ -551,17 +563,33 @@ def _memo_key(params, settings):
             settings.n_steps, settings.sampling_rule)
 
 
-def propagate_block(params, settings=PropagationSettings()):
+def propagate_block(params, settings=PropagationSettings(), mirrors=None):
     """Propagate both arms of a block of at most block_points FieldParams
     sharing two_j in one pass, and keep the propagators for total_unitary,
-    in place of the last block's."""
+    in place of the last block's.  mirrors maps indices j into params to
+    the z-mirror of params[j], its FieldParams at -bz, which is kept from
+    the pairs of params[j] unless they hold an exact zero."""
     _block_memo.clear()
     two_j = _block_spin(params)
     most = block_points(two_j, settings.n_steps)
     if len(params) > most:
         raise ValueError(f"a block holds at most {most} points at two_j={two_j}, "
                          f"n_steps={settings.n_steps}")
+    mirrors = mirrors or {}
+    if any(_memo_key(m, settings) != _memo_key(replace(params[j], bz=-params[j].bz), settings)
+           for j, m in mirrors.items()):
+        raise ValueError("a mirror must differ from its partner in the sign of bz alone")
     a, b = _both_senses(params, settings)
+    if mirrors:
+        # the rule misses only the sign of an exact zero (module docstring)
+        whole = (np.stack((a.real, a.imag, b.real, b.imag)) != 0.0).all(axis=(0, 1))
+        kept = [j for j in mirrors if whole[j]]
+        alone = [mirrors[j] for j in mirrors if not whole[j]]
+        parts = [(a, b), (np.conj(a[::-1, kept]), -np.conj(b[::-1, kept]))]
+        if alone:
+            parts.append(_both_senses(alone, settings))
+        a, b = (np.concatenate(part, axis=1) for part in zip(*parts))
+        params = [*params, *(mirrors[j] for j in kept), *alone]
     lifts = _ck_matrix(a, b) if two_j == 1 else _lift_su2(a, b, two_j)
     for j, p in enumerate(params):
         _block_memo[_memo_key(p, settings)] = lifts[:, j]

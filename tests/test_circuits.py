@@ -1,5 +1,6 @@
 """Circuit presets, sampling, the trace driver and plane sweeps."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from geomphase import (
 )
 from geomphase import circuits, phase, spinsys
 from geomphase.circuits import MAX_POINTS
+from geomphase.cli import main
 from geomphase.spinsys import SAMPLING_RULES, hamiltonian_at, step_unitary
 
 TWO_PI = 2.0 * np.pi
@@ -488,6 +490,29 @@ class TestBlockReadings:
                         assert np.array(alone).tobytes() == np.array(
                             [c[k:k + 1], alpha[k:k + 1]]).tobytes(), where
 
+    @pytest.mark.parametrize("two_j", [1, 3])
+    @pytest.mark.parametrize("n_steps", [9, 40, 100])
+    def test_partners_across_block_edges_read_alike(self, small_blocks, two_j, n_steps):
+        # 7 points, their z-mirrors (bz = +-0.0 among them) and repeats of
+        # both, shuffled, then a mirror pair: the 8 distinct (b1, |bz|) fill
+        # blocks of 5 and 3 (4 and 4 at spin-3/2 or 100 steps), each with
+        # the points that read from it
+        rng = np.random.default_rng(32)
+        half = np.column_stack([rng.uniform(0.2, 0.8, 7), rng.uniform(0.3, 0.9, 7)])
+        half[5:, 1] = 0.0, -0.0
+        points = np.concatenate((half, half * (1, -1), half[::3], -half[1::3] * (-1, 1)))
+        points = np.concatenate((points[rng.permutation(len(points))],
+                                 [(0.35, 0.5), (0.35, -0.5)]))
+        for rule in SAMPLING_RULES:
+            settings = PropagationSettings(n_steps, rule)
+            for omega_sign in (1, -1):
+                args = (0.6, two_j, omega_sign, settings, (two_j + 1) // 2)
+                reused = np.array(circuits._readings(points, *args)).tobytes()
+                assert reused == np.array(circuits._readings(points, *args, reuse=False)).tobytes()
+                alone = np.concatenate([circuits._readings(points[k:k + 1], *args)
+                                        for k in range(len(points))], axis=1)
+                assert reused == alone.tobytes(), (rule, omega_sign)
+
     def test_two_propagations_per_evaluated_point(self, monkeypatch):
         # the call identity the benchmark checks: total_unitary runs once per
         # arm and evaluated point, refined midpoints and sweep cells included
@@ -513,9 +538,9 @@ class TestBlockReadings:
         blocks = []
         propagate_block = spinsys.propagate_block
 
-        def counting(params, settings):
+        def counting(params, settings, mirrors=None):
             blocks.append(len(params))
-            return propagate_block(params, settings)
+            return propagate_block(params, settings, mirrors)
 
         monkeypatch.setattr(spinsys, "propagate_block", counting)
         circuit, beta = preset_circuit("spqrs")
@@ -542,3 +567,89 @@ class TestBlockReadings:
             tracemalloc.stop()
         assert np.isfinite(result.modulus_c).all()
         assert peak < 12e6
+
+
+class TestPartnerReuse:
+    """A trace propagates each distinct (b1, |bz|) once, and its repeats and
+    z-mirrors read from that point's propagators."""
+
+    # z-symmetric about bz = 0 and refined at spin-3/2: each of its three
+    # depths reads a mirror pair of midpoints
+    REFINED = ((0.5, 0.02), (1.5, 0.02), (1.5, -0.02), (0.5, -0.02))
+
+    @pytest.mark.parametrize("argv", [
+        ["--circuit", "abcda", "--steps", "2000"],
+        ["--circuit", "efghe", "--steps", "2000"],
+        ["--circuit", "spqrs", "--steps", "2000"],
+        ["--beta", "200", "--two-j", "3", "--steps", "500", "--refine", "--format", "json"],
+    ], ids=["abcda", "efghe", "spqrs", "refined-spin-3/2"])
+    def test_outputs_match_points_read_alone(self, argv, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps({"vertices": self.REFINED, "points_per_segment": 20}))
+        argv = ["simulate", *(["--circuit", str(path)] if "--beta" in argv else []), *argv]
+        readings = circuits._readings
+
+        def point_by_point(points, *args, **kwargs):
+            return tuple(np.concatenate(column) for column in zip(
+                *(readings(points[k:k + 1], *args) for k in range(len(points)))))
+
+        outputs = []
+        for alone in (False, True):
+            if alone:
+                monkeypatch.setattr(circuits, "_readings", point_by_point)
+            out = tmp_path / f"alone-{alone}.out"
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        if "--refine" in argv:
+            assert len(json.loads(outputs[0][0])["samples"]) > 81
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Lists of the points propagated per block and of total_unitary's
+        arms, filled as they run."""
+        propagated, arms = [], []
+        both_senses, total_unitary = spinsys._both_senses, spinsys.total_unitary
+
+        def count_points(params, settings):
+            propagated.append(len(params))
+            return both_senses(params, settings)
+
+        def count_arms(params, arm, settings):
+            arms.append(arm)
+            return total_unitary(params, arm, settings)
+
+        monkeypatch.setattr(spinsys, "_both_senses", count_points)
+        monkeypatch.setattr(spinsys, "total_unitary", count_arms)
+        return propagated, arms
+
+    def test_each_distinct_point_propagated_once(self, monkeypatch):
+        propagated, arms = self.counting(monkeypatch)
+        settings = PropagationSettings(500)
+        for name, distinct in (("abcda", 276), ("efghe", 274), ("spqrs", 258)):
+            circuit, beta = preset_circuit(name)
+            samples = sample_circuit(circuit)
+            partner, mirrored = circuits._partners(samples)
+            assert (partner[400], mirrored[400]) == (0, False)  # the closing repeat
+            assert len(set(partner)) == distinct
+            propagated.clear(), arms.clear()
+            trace_circuit(circuit, beta, settings=settings)
+            assert sum(propagated) == distinct, name
+            # total_unitary still runs once per arm and sample
+            assert arms == [ArmSense.PLUS, ArmSense.MINUS] * 401
+        # a star polygon with no mirrors propagates all but its closing repeat
+        star = Circuit(((0.8, 0.3), (1.25, 0.21), (1.4, -0.1), (1.1, -0.35),
+                        (0.7, -0.2), (0.62, 0.05)), 60)
+        propagated.clear(), arms.clear()
+        trace_circuit(star, 200.0, 3, settings)
+        assert sum(propagated) == 360
+        assert arms == [ArmSense.PLUS, ArmSense.MINUS] * 361
+
+    def test_sweep_propagates_every_cell(self, monkeypatch):
+        # the rows bz = -0.5 and 0.5 are bit mirrors, and both are propagated
+        propagated, arms = self.counting(monkeypatch)
+        result = sweep_plane((0.5, 1.5), (-0.5, 0.5), (3, 2), 5.0,
+                             settings=PropagationSettings(50))
+        assert (result.bz_values[0] == -result.bz_values[1]).all()
+        assert sum(propagated) == 6
+        assert arms == [ArmSense.PLUS, ArmSense.MINUS] * 6

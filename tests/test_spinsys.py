@@ -804,7 +804,8 @@ class TestPropagationInvariants:
                 f"bz={params.bz}, beta={params.beta}, two_j={params.two_j}"
             )
 
-    @pytest.mark.parametrize("n_steps", [20000, 70001])  # one chunk, several
+    # steps built several points at a time, one chunk, several chunks
+    @pytest.mark.parametrize("n_steps", [500, 20000, 70001])
     @pytest.mark.parametrize("sampling_rule", SAMPLING_RULES)
     @pytest.mark.parametrize("omega_sign", [1, -1])
     def test_propagator_mirror_is_bit_exact(self, n_steps, sampling_rule, omega_sign):
@@ -822,6 +823,59 @@ class TestPropagationInvariants:
             minus = total_unitary(FieldParams(b1, bz, beta, 1, omega_sign),
                                   ArmSense.MINUS, settings)
             assert plus.tobytes() == (pauli_x @ minus @ pauli_x).tobytes(), (b1, bz)
+        # so a block keeps the z-mirrors of its points from their pairs, and
+        # each mirror's spin-J propagators have the bits it gets alone
+        for two_j in (1, 3):
+            block = [FieldParams(rng.uniform(-2.0, 2.0), bz, rng.uniform(0.0, 30.0),
+                                 two_j, omega_sign)
+                     for bz in (*rng.uniform(-1.5, 1.5, 3), 0.0, -0.0)]
+            mirrors = [replace(p, bz=-p.bz) for p in block]
+            spinsys.propagate_block(block, settings, dict(enumerate(mirrors)))
+            assert len(spinsys._block_memo) == 10
+            kept = [[total_unitary(m, arm, settings) for arm in ArmSense] for m in mirrors]
+            for mirror, arms in zip(mirrors, kept):
+                spinsys._block_memo.clear()  # alone: a block of its own
+                for arm, u in zip(ArmSense, arms):
+                    assert total_unitary(mirror, arm, settings).tobytes() == u.tobytes(), (
+                        two_j, mirror)
+
+    @pytest.mark.parametrize("two_j", [1, 3])
+    def test_mirror_of_a_pair_with_a_zero_is_propagated(self, two_j, monkeypatch):
+        # beta = 0 gives pairs (1, 0) and a left-endpoint step at t = 0 a
+        # purely imaginary b; the mirror rule may get the sign of such a
+        # zero wrong, so those mirrors are propagated, and every mirror
+        # keeps the bits it gets alone
+        propagated = []
+        both_senses = spinsys._both_senses
+
+        def counting(params, settings):
+            propagated.append(len(params))
+            return both_senses(params, settings)
+
+        monkeypatch.setattr(spinsys, "_both_senses", counting)
+        for beta, n_steps, derived in ((0.0, 500, 0), (2.0, 1, 0), (2.0, 500, 3)):
+            settings = PropagationSettings(n_steps)
+            block = [FieldParams(b1, bz, beta, two_j) for b1, bz in
+                     ((0.5, 0.0), (-0.0, 0.3), (-1.5, -0.7))]
+            mirrors = [replace(p, bz=-p.bz) for p in block]
+            propagated.clear()
+            spinsys.propagate_block(block, settings, dict(enumerate(mirrors)))
+            assert propagated == [3] + [3 - derived] * (derived < 3)
+            kept = [[total_unitary(m, arm, settings) for arm in ArmSense] for m in mirrors]
+            for mirror, arms in zip(mirrors, kept):
+                spinsys._block_memo.clear()
+                for arm, u in zip(ArmSense, arms):
+                    assert total_unitary(mirror, arm, settings).tobytes() == u.tobytes(), (
+                        beta, n_steps, mirror)
+
+    def test_mirrors_must_mirror_their_partners(self):
+        settings = PropagationSettings(50)
+        params = FieldParams(0.5, 0.0, 2.0)
+        for wrong in (params, replace(params, b1=0.6), replace(params, bz=-0.1),
+                      replace(params, bz=-0.0, two_j=3)):
+            with pytest.raises(ValueError, match="mirror"):
+                spinsys.propagate_block([params], settings, {0: wrong})
+        spinsys.propagate_block([params], settings, {0: replace(params, bz=-0.0)})
 
     def test_step_count_convergence(self):
         params = FieldParams(0.8, 0.3, 5.0)
