@@ -20,6 +20,7 @@ exceeded, degenerate geometry).
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -201,7 +202,7 @@ def _write_text(path, text):
 def _cell(x):
     if isinstance(x, int):
         return str(x)
-    return "" if np.isnan(x) else f"{x:.16e}"
+    return "" if math.isnan(x) else f"{x:.16e}"
 
 
 def _table(fmt, columns, rows, **head):
@@ -212,7 +213,7 @@ def _table(fmt, columns, rows, **head):
     """
     if fmt == "json":
         samples = [
-            {name: x for name, x in zip(columns, row) if not np.isnan(x)}
+            {name: x for name, x in zip(columns, row) if not math.isnan(x)}
             for row in rows
         ]
         return json.dumps({**head, "samples": samples}, indent=2) + "\n"
@@ -294,7 +295,7 @@ def _run_sweep(config):
                 "bz_values": list(result.bz_values),
                 "modulus_c": result.modulus_c.tolist(),
                 "alpha_wrapped": [
-                    [None if np.isnan(a) else a for a in row]
+                    [None if math.isnan(a) else a for a in row]
                     for row in result.alpha_wrapped
                 ],
             },

@@ -32,6 +32,17 @@ chunked, past CHUNK_STEPS/2 steps) as one (2, points, steps) array.  The
 two arms see B_y of opposite sign, so one arm's steps are (a, b) and the
 other's (a, -b*): propagate_block builds each chunk's steps once, reduces
 them, flips b in place and reduces them again.
+Where a chunk holds one point, its steps are stored in bit-reversed order.
+Let p count the levels that halve the chunk's m steps exactly while more
+than TAIL entries are left (8 for a full chunk, 6 for the 16960-step last
+chunk of 10**6 steps, none for odd m), and q = m >> p: position
+rev_p(r) q + j holds step 2^p j + r, where rev_p reverses the p bits of r.
+Each of the first p levels then multiplies the later half by the earlier,
+two contiguous runs where time order pairs strided entries, and the q
+entries left are in time order.  The step grid is kept in that order (the
+last chunk has its own), so the steps are built in it.  The pairs, and the
+operations on each, are those of time order, so the product has the same
+bits.  A batch of points keeps time order.
 Each tree is reduced on its own only until at most TAIL entries are left,
 past which its levels are too short to keep numpy busy; the tails go into
 one tail buffer of CHUNK_STEPS entries, laid out [pair, step, tree], and
@@ -366,21 +377,32 @@ def _times(x, y):
         x[...] = _rounded(x, y)
 
 
-def _ordered(steps, mul, levels, tail=1):
+def _ordered(steps, mul, levels, tail=1, stored=False):
     """Time-ordered product of steps, an array whose axis 1 is time, reduced
     pairwise by mul(later, earlier, out) until at most tail entries are
     left; returns them, in time order, as a view on axis 1.  levels holds
     two buffers shaped like steps, with at least m/2 and m/4 entries
     (rounded up) on axis 1 for m steps.  The levels are written to the front
     of the two in turn, so the reduction allocates nothing; stopping at any
-    tail and reducing the rest later pairs the entries alike."""
+    tail and reducing the rest later pairs the entries alike.
+
+    stored says that the steps are in the stored order of _stored for this
+    tail: each level that halves them exactly multiplies the later half by
+    the earlier, two contiguous runs, and leaves the stored order of half as
+    many entries, until the first odd level finds them in time order.  The
+    pairs, and the operations on each, are those of time order, so the
+    product has the same bits."""
     m = steps.shape[1]
     while m > tail:
         half, odd = divmod(m, 2)
         out = levels[0][:, :half + odd]
-        mul(steps[:, 1:m - odd:2], steps[:, 0:m - odd:2], out[:, :half])
-        if odd:
-            out[:, half] = steps[:, m - 1]
+        stored = stored and not odd
+        if stored:
+            mul(steps[:, half:m], steps[:, :half], out)
+        else:
+            mul(steps[:, 1:m - odd:2], steps[:, 0:m - odd:2], out[:, :half])
+            if odd:
+                out[:, half] = steps[:, m - 1]
         steps, m, levels = out, half + odd, levels[::-1]
     return steps[:, :m]
 
@@ -392,13 +414,45 @@ def _step_times(settings, start, stop):
     return k * settings.dt
 
 
+def _stored(x):
+    """A copy of x, a chunk's values in time order, in the order in which
+    the chunk's steps are stored.  Let p count the levels that halve len(x)
+    exactly while more than TAIL entries are left, and q = len(x) >> p:
+    position rev_p(r) q + j holds x[2^p j + r], where rev_p reverses the p
+    bits of r, so the first p levels of _ordered each pair two contiguous
+    halves.  With p = 0 the order is time order."""
+    q, p = len(x), 0
+    while q > TAIL and q % 2 == 0:
+        q, p = q // 2, p + 1
+    # the axes of (j, r_{p-1}, ..., r_0), reversed
+    return x.reshape((q,) + (2,) * p).T.flatten()
+
+
+def _stored_order(n_steps):
+    """Whether the chunks of an n_steps cycle are stored in _stored order:
+    where a chunk holds one point.  A batch of points keeps time order:
+    in its [point, step] buffers the halves measured slower per point."""
+    return n_steps > CHUNK_STEPS // 2
+
+
 @functools.lru_cache(maxsize=1)
 def _step_grid(n_steps, sampling_rule):
-    """Read-only e^{-i t_k} over the first chunk of the step grid."""
+    """Read-only e^{-i t_k} over the first m steps of the grid, keyed by m,
+    for each chunk length m of the cycle: the first chunk's and a shorter
+    last chunk's.  Later chunks turn it by e^{-i start dt}.  Each grid is in
+    the order its chunk's steps are stored (_stored_order), so that the
+    steps are built in that order."""
     settings = PropagationSettings(n_steps, sampling_rule)
-    grid = np.exp(-1j * _step_times(settings, 0, min(n_steps, CHUNK_STEPS)))
-    grid.flags.writeable = False
-    return grid
+    size = min(n_steps, CHUNK_STEPS)
+    grid = np.exp(-1j * _step_times(settings, 0, size))
+    if _stored_order(n_steps):
+        # the full chunks' length and the last chunk's
+        grids = {m: _stored(grid[:m]) for m in {size, n_steps % size or size}}
+    else:
+        grids = {size: grid}
+    for e in grids.values():
+        e.flags.writeable = False
+    return grids
 
 
 def _tail_length(m):
@@ -465,7 +519,8 @@ def _both_senses(params, settings):
     into (a, -b*).
 
     Each chunk of each point and sense is one tree of the pairwise product.
-    The steps of a chunk are built for a batch of points at a time, and each
+    The steps of a chunk are built for a batch of points at a time, in
+    _stored order where a chunk holds one point (_stored_order), and each
     tree is reduced on its own until at most TAIL entries are left; those
     tails go into the tail buffer, one column per tree, and one _ordered
     call per tail length finishes every tree held there.  Chunk products
@@ -477,7 +532,7 @@ def _both_senses(params, settings):
     rows = _tail_rows(n)
     steps, levels, tmp, real, mask, tail, t_levels, t_tmp = _workspace(
         batch, size, rows, max(2, CHUNK_STEPS // (2 * rows)))
-    e = _step_grid(n, settings.sampling_rule)
+    grids, stored = _step_grid(n, settings.sampling_rule), _stored_order(n)
     fields = np.array([(p.b1, p.bz, p.beta) for p in params])
     cols = 2 * k  # one chunk's trees, [sense, point]
     running = np.empty((2, cols), complex)
@@ -499,7 +554,7 @@ def _both_senses(params, settings):
         if chunks and (length != held or (chunks + 1) * cols > tail.shape[2]):
             running, chunks = fold(running, chunks, held), 0
         held = length
-        rotation = np.exp(-1j * start * settings.dt)
+        e, rotation = grids[m], np.exp(-1j * start * settings.dt)
         for first in range(0, k, batch):
             points = min(batch, k - first)
             # a batch of one point runs on 1-D views, which numpy sets up
@@ -512,10 +567,11 @@ def _both_senses(params, settings):
             c = 2.0 * beta
             a, w = steps[:, pts, :m]
             # w = c (b1 + e^{-i t}) = vx - i vy; later chunks rotate the grid
-            np.copyto(w, e[:m])
             if start:
-                w *= rotation
-            w += b1
+                np.multiply(e, rotation, out=w)
+                w += b1
+            else:
+                np.add(e, b1, out=w)
             w *= c
             _ck_steps(w, c * bz, 0.5 * settings.dt, a, real[:, pts, :m], mask[pts, :m])
             block = steps[:, pts, :m].swapaxes(1, -1)  # [pair, step(, point)]
@@ -526,7 +582,7 @@ def _both_senses(params, settings):
                     np.negative(w.real, out=w.real)
                 col = chunks * cols + sense * k + first
                 np.copyto(tail[:, :length, col if points == 1 else slice(col, col + points)],
-                          _ordered(block, mul, block_levels, TAIL))
+                          _ordered(block, mul, block_levels, TAIL, stored))
         chunks += 1
     return [x.reshape(2, k) for x in fold(running, chunks, held)]
 

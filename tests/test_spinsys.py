@@ -64,6 +64,18 @@ def dense_total_unitary(params, arm, settings):
     return steps[0]
 
 
+def sequential_total_unitary(params, arm, settings):
+    """Reference for total_unitary that multiplies step_unitary factors one
+    by one, so it shares neither the chunk loop nor the pairwise
+    reduction."""
+    shift = 0.5 if settings.sampling_rule == "midpoint" else 0.0
+    ref = np.eye(params.dim, dtype=complex)
+    for k in range(settings.n_steps):
+        H = hamiltonian_at(params, (k + shift) * settings.dt, arm)
+        ref = step_unitary(H, settings.dt) @ ref
+    return ref
+
+
 def phase_free_deviation(psi, ref):
     """Largest componentwise |psi - ref| once the global phase is removed.
 
@@ -339,11 +351,7 @@ class TestEvolveArm:
         params = FieldParams(0.3, -0.5, 2.0, two_j=2)
         settings = PropagationSettings(40)
         U = total_unitary(params, ArmSense.MINUS, settings)
-        ref = np.eye(3, dtype=complex)
-        dt = settings.dt
-        for k in range(settings.n_steps):
-            H = hamiltonian_at(params, k * dt, ArmSense.MINUS)
-            ref = step_unitary(H, dt) @ ref
+        ref = sequential_total_unitary(params, ArmSense.MINUS, settings)
         assert np.max(np.abs(U - ref)) < 1e-12
 
     def test_midpoint_rule_converges_faster(self):
@@ -601,43 +609,64 @@ class TestBlocks:
             with pytest.raises(ValueError, match="share two_j"):
                 call()
 
-    @pytest.mark.parametrize("n_steps", [1, 2, 7, 500, 20000, 2 * CHUNK_STEPS + 7])
+    @pytest.mark.parametrize("n_steps", [
+        1, 2, 7, 500, 16385, 20000, CHUNK_STEPS, CHUNK_STEPS + 16960, 2 * CHUNK_STEPS + 7,
+    ])
     def test_tails_finish_as_one_tree_at_a_time(self, n_steps):
-        # the reference reduces each chunk's tree alone, on 1-D arrays, to
-        # one pair and multiplies the running product by it in scalar
-        # arithmetic
-        settings = PropagationSettings(n_steps)
+        # the reference builds each chunk's steps in time order, reduces
+        # each chunk's tree alone, on 1-D arrays and with strided pairs, to
+        # one pair, and multiplies the running product by it in scalar
+        # arithmetic.  Past CHUNK_STEPS // 2 steps the chunks are stored in
+        # bit-reversed order: 16385 steps take no exact level, CHUNK_STEPS
+        # steps take all 8, and the 16960-step last chunk takes 6 where the
+        # full chunks take 8.
         params = [FieldParams(0.3, -0.5, 2.0), FieldParams(1.2, -0.0, 0.0),
                   FieldParams(-0.7, 0.9, 40.0)]
-        a, b = spinsys._both_senses(params, settings)
         size = min(n_steps, CHUNK_STEPS)
-        grid = np.exp(-1j * spinsys._step_times(settings, 0, size))
         half = (size + 1) // 2
         levels = (np.empty((2, half), complex), np.empty((2, (half + 1) // 2), complex))
         mul = functools.partial(spinsys._mul_ck, tmp=np.empty(half, complex))
-        for j, p in enumerate(params):
-            c = 2.0 * p.beta
-            running = [(1.0 + 0.0j, 0.0j)] * 2
-            for start in range(0, n_steps, size):
-                m = min(size, n_steps - start)
-                steps = np.empty((2, m), complex)
-                w = steps[1]
-                w[:] = grid[:m]
-                if start:
-                    w *= np.exp(-1j * start * settings.dt)
-                w += p.b1
-                w *= c
-                spinsys._ck_steps(w, c * p.bz, 0.5 * settings.dt, steps[0],
-                                  np.empty((4, m)), np.empty(m, bool))
-                for sense, (a1, b1) in enumerate(running):
-                    if sense:
-                        np.negative(w.real, out=w.real)
-                    a2, b2 = spinsys._ordered(steps, mul, levels)[:, 0]
-                    running[sense] = (a2 * a1 - np.conjugate(b1) * b2,
-                                      a2 * b1 + np.conjugate(a1) * b2)
-            for sense, expected in enumerate(running):
-                assert np.array([a[sense, j], b[sense, j]]).tobytes() == np.array(
-                    expected).tobytes(), (j, sense)
+        for rule in SAMPLING_RULES:
+            settings = PropagationSettings(n_steps, rule)
+            a, b = spinsys._both_senses(params, settings)
+            grid = np.exp(-1j * spinsys._step_times(settings, 0, size))
+            for j, p in enumerate(params):
+                c = 2.0 * p.beta
+                running = [(1.0 + 0.0j, 0.0j)] * 2
+                for start in range(0, n_steps, size):
+                    m = min(size, n_steps - start)
+                    steps = np.empty((2, m), complex)
+                    w = steps[1]
+                    w[:] = grid[:m]
+                    if start:
+                        w *= np.exp(-1j * start * settings.dt)
+                    w += p.b1
+                    w *= c
+                    spinsys._ck_steps(w, c * p.bz, 0.5 * settings.dt, steps[0],
+                                      np.empty((4, m)), np.empty(m, bool))
+                    for sense, (a1, b1) in enumerate(running):
+                        if sense:
+                            np.negative(w.real, out=w.real)
+                        a2, b2 = spinsys._ordered(steps, mul, levels)[:, 0]
+                        running[sense] = (a2 * a1 - np.conjugate(b1) * b2,
+                                          a2 * b1 + np.conjugate(a1) * b2)
+                for sense, expected in enumerate(running):
+                    assert np.array([a[sense, j], b[sense, j]]).tobytes() == np.array(
+                        expected).tobytes(), (rule, j, sense)
+
+    def test_stored_order_is_bit_reversed(self):
+        # position rev_p(r) q + j holds step 2^p j + r; p = 0 for odd m
+        for m, p in [(CHUNK_STEPS, 8), (16960, 6), (20000, 5), (16385, 0), (256, 1),
+                     (128, 0)]:
+            q = m >> p
+            r = np.arange(2 ** p)
+            rev = np.array([int(format(x, f"0{p}b")[::-1] or "0", 2) for x in r])
+            expected = np.empty(m, int)
+            expected[(rev[:, None] * q + np.arange(q)).ravel()] = (
+                (2 ** p) * np.arange(q)[None, :] + r[:, None]).ravel()
+            assert np.array_equal(spinsys._stored(np.arange(m)), expected), m
+        assert not spinsys._stored_order(CHUNK_STEPS // 2)
+        assert spinsys._stored_order(CHUNK_STEPS // 2 + 1)
 
     @pytest.mark.parametrize("n_steps", [
         20000, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 7,
@@ -678,17 +707,24 @@ class TestChunkLoop:
     """Chunk loops and tail buffers shrunk so that a short cycle crosses
     their edges."""
 
+    @staticmethod
+    def shrunk(monkeypatch, **sizes):
+        """Set CHUNK_STEPS and TAIL for one test; the step grid, the buffers
+        and the memo are built for them, so they are cleared around it."""
+        def clear():
+            spinsys._step_grid.cache_clear()
+            spinsys._workspace.cache_clear()
+            spinsys._block_memo.clear()
+
+        for name, value in sizes.items():
+            monkeypatch.setattr(spinsys, name, value)
+        clear()
+        yield
+        clear()
+
     @pytest.fixture
     def small_chunks(self, monkeypatch):
-        # the step grid, the buffers and the memo are built for the chunk size
-        monkeypatch.setattr(spinsys, "CHUNK_STEPS", 7)
-        spinsys._step_grid.cache_clear()
-        spinsys._workspace.cache_clear()
-        spinsys._block_memo.clear()
-        yield
-        spinsys._step_grid.cache_clear()
-        spinsys._workspace.cache_clear()
-        spinsys._block_memo.clear()
+        yield from self.shrunk(monkeypatch, CHUNK_STEPS=7)
 
     @pytest.mark.parametrize("two_j", [1, 3, 8])
     def test_chunk_edges_match_sequential_step_product(self, small_chunks, two_j):
@@ -698,29 +734,38 @@ class TestChunkLoop:
         params = FieldParams(0.3, -0.5, 2.0, two_j=two_j)
         for rule in SAMPLING_RULES:
             settings = PropagationSettings(40, rule)
-            dt = settings.dt
-            shift = 0.5 if rule == "midpoint" else 0.0
             for arm in ArmSense:
-                ref = np.eye(two_j + 1, dtype=complex)
-                for k in range(settings.n_steps):
-                    H = hamiltonian_at(params, (k + shift) * dt, arm)
-                    ref = step_unitary(H, dt) @ ref
                 U = total_unitary(params, arm, settings)
+                ref = sequential_total_unitary(params, arm, settings)
+                assert np.max(np.abs(U - ref)) < 1e-12, (rule, arm)
+
+    @pytest.fixture
+    def stored_chunks(self, monkeypatch):
+        # chunks of 16 steps reduced per tree to tails of 2 entries: a full
+        # chunk is stored in bit-reversed order and takes 3 exact levels
+        yield from self.shrunk(monkeypatch, CHUNK_STEPS=16, TAIL=2)
+
+    @pytest.mark.parametrize("two_j", [1, 3])
+    def test_stored_order_across_chunk_edges(self, stored_chunks, two_j):
+        # 40 steps make two full chunks of 16 and a partial one of 8, whose
+        # stored order takes 2 exact levels; the reference multiplies
+        # step_unitary factors one by one
+        assert spinsys._stored_order(40)
+        assert sorted(spinsys._step_grid(40, "left_endpoint")) == [8, 16]
+        params = FieldParams(0.3, -0.5, 2.0, two_j=two_j)
+        for rule in SAMPLING_RULES:
+            settings = PropagationSettings(40, rule)
+            spinsys._block_memo.clear()
+            for arm in ArmSense:
+                U = total_unitary(params, arm, settings)
+                ref = sequential_total_unitary(params, arm, settings)
                 assert np.max(np.abs(U - ref)) < 1e-12, (rule, arm)
 
     @pytest.fixture
     def small_tails(self, monkeypatch):
         # chunks of 64 steps reduced per tree to tails of 4 entries; a block
         # of one point fills the 8-column tail buffer every 4 chunks
-        monkeypatch.setattr(spinsys, "CHUNK_STEPS", 64)
-        monkeypatch.setattr(spinsys, "TAIL", 4)
-        spinsys._step_grid.cache_clear()
-        spinsys._workspace.cache_clear()
-        spinsys._block_memo.clear()
-        yield
-        spinsys._step_grid.cache_clear()
-        spinsys._workspace.cache_clear()
-        spinsys._block_memo.clear()
+        yield from self.shrunk(monkeypatch, CHUNK_STEPS=64, TAIL=4)
 
     @pytest.mark.parametrize("two_j", [1, 3])
     def test_full_tail_buffer_folds_in_chunk_order(self, small_tails, monkeypatch, two_j):
@@ -730,25 +775,20 @@ class TestChunkLoop:
         finishes = []
         ordered = spinsys._ordered
 
-        def counting(steps, mul, levels, tail=1):
+        def counting(steps, mul, levels, tail=1, stored=False):
             if tail == 1:
                 finishes.append(steps.shape[1:])
-            return ordered(steps, mul, levels, tail)
+            return ordered(steps, mul, levels, tail, stored)
 
         monkeypatch.setattr(spinsys, "_ordered", counting)
         params = FieldParams(0.3, -0.5, 2.0, two_j=two_j)
         for rule in SAMPLING_RULES:
             settings = PropagationSettings(1000, rule)
-            dt = settings.dt
-            shift = 0.5 if rule == "midpoint" else 0.0
             finishes.clear()
             spinsys._block_memo.clear()
             for arm in ArmSense:
-                ref = np.eye(two_j + 1, dtype=complex)
-                for k in range(settings.n_steps):
-                    H = hamiltonian_at(params, (k + shift) * dt, arm)
-                    ref = step_unitary(H, dt) @ ref
                 U = total_unitary(params, arm, settings)
+                ref = sequential_total_unitary(params, arm, settings)
                 assert np.max(np.abs(U - ref)) < 1e-12, (rule, arm)
             assert finishes == [(4, 8)] * 3 + [(4, 6), (3, 2)], rule
             # and alike in a block, which folds one chunk at a time
