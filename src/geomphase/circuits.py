@@ -155,16 +155,17 @@ def _readings(points, beta, two_j, omega_sign, settings, branch, reuse=True):
     With reuse, as a trace and each refinement depth read, each distinct
     (b1, |bz|), keyed by its bits, is propagated once, by its first point,
     its partner.  A repeat reads its partner's propagators.  A z-mirror
-    (b1, -bz) takes sense s as (a*, -b*) of its partner's sense 1 - s, since
-    U_+(b1, -bz) = sigma_x U_-(b1, bz) sigma_x holds bit for bit wherever
-    the partner's pairs hold no exact zero (spinsys.propagate_block
-    propagates the others).  Every point keeps its own start state and
-    spin-J lift, so each reading has the bits the point gets alone.  Without reuse, as a sweep reads, every
-    point is propagated.  The propagated points are started and propagated
-    a block at a time, each block with the points that read from it, and
-    then every point is read one by one.  A block's start states come
-    first, so a bad branch raises before anything is propagated, and a
-    degenerate start before its block is."""
+    (b1, -bz) is named to spinsys.propagate_block by its partner's index in
+    the block, and takes sense s as (a*, -b*) of its partner's sense 1 - s,
+    since U_+(b1, -bz) = sigma_x U_-(b1, bz) sigma_x holds bit for bit
+    wherever the partner's pairs hold no exact zero (the block propagates
+    the others).  Every point keeps its own start state and spin-J lift, so
+    each reading has the bits the point gets alone.  Without reuse, as a
+    sweep reads, every point is propagated.  The propagated points are
+    started and propagated a block at a time, each block with the points
+    that read from it, and then every point is read one by one.  A block's
+    start states come first, so a bad branch raises before anything is
+    propagated, and a degenerate start before its block is."""
     overlaps = np.empty(len(points), complex)
     # the first point's FieldParams checks two_j before it sizes the blocks
     first = spinsys.FieldParams(*points[0], beta, two_j, omega_sign)
@@ -181,7 +182,7 @@ def _readings(points, beta, two_j, omega_sign, settings, branch, reuse=True):
         states = spinsys.initial_states(block, branch)
         spinsys.propagate_block(
             [p for p, k in zip(block, members) if partner[k] == k], settings,
-            {rank[partner[k]] - b * size: p for p, k in zip(block, members) if mirrored[k]})
+            list(dict.fromkeys(rank[partner[k]] - b * size for k in members if mirrored[k])))
         for k, params, psi0 in zip(members, block, states):
             psi1, psi2 = (spinsys.total_unitary(params, arm, settings) @ psi0
                           for arm in spinsys.ArmSense)  # PLUS, then MINUS

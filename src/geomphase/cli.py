@@ -261,15 +261,21 @@ def _run_simulate(config):
     print(_summary(w, delta, max_dev))
 
 
+def _write_series(config, columns, points, series, **head):
+    """Write one row per circuit sample in points, with series in the last
+    of columns and NaN in those between bz and it, then print the summary
+    of the series' winding (NonQuantizedWinding -> exit 3)."""
+    missing = np.full((len(columns) - 4, len(points)), np.nan)
+    rows = zip(range(len(points)), *points.T, *missing, series)
+    _write_text(config.out, _table(config.fmt, columns, rows, **head))
+    delta = float(series[-1] - series[0])
+    print(_summary(phase.winding_of_delta(delta), delta))
+
+
 def _run_oracle(config):
     points = circuits.sample_circuit(config.circuit)
     oracle = geometry.oracle_phase_trace(points, config.two_j)
-    missing = np.full(len(points), np.nan)
-    rows = zip(range(len(points)), *points.T, missing, missing, missing, oracle)
-    table = _table(config.fmt, TRACE_COLUMNS, rows, two_j=config.two_j)
-    _write_text(config.out, table)
-    delta = float(oracle[-1] - oracle[0])
-    print(_summary(phase.winding_of_delta(delta), delta))  # NonQuantizedWinding -> 3
+    _write_series(config, TRACE_COLUMNS, points, oracle, two_j=config.two_j)
 
 
 def _run_sweep(config):
@@ -313,11 +319,8 @@ def _run_monopole(config):
     scene = config.scene
     points = circuits.sample_circuit(config.circuit)
     phases = geometry.monopole_transport_trace(points, scene)
-    rows = zip(range(len(points)), *points.T, phases)
-    head = {"strength_g": scene.strength_g, "string_thickness": scene.string_thickness}
-    _write_text(config.out, _table(config.fmt, MONOPOLE_COLUMNS, rows, **head))
-    delta = float(phases[-1] - phases[0])
-    print(_summary(phase.winding_of_delta(delta), delta))
+    _write_series(config, MONOPOLE_COLUMNS, points, phases,
+                  strength_g=scene.strength_g, string_thickness=scene.string_thickness)
 
 
 def main(argv=None):

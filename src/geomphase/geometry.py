@@ -55,10 +55,6 @@ class LoopGeometry:
         if self.orientation not in (1, -1):
             raise ValueError(f"orientation must be +1 or -1, got {self.orientation}")
 
-    @property
-    def center(self):
-        return np.array([self.b1, 0.0, self.bz])
-
     def origin_distance(self):
         """Distance of closest approach of the circle to the origin."""
         return float(np.hypot(abs(self.b1) - 1.0, self.bz))
@@ -66,15 +62,17 @@ class LoopGeometry:
 
 @dataclass(frozen=True)
 class MonopoleScene:
-    """Monopole of strength g = n/2 at the origin with an attached string,
-    |g| <= MAX_STRENGTH.
+    """Monopole of strength g = n/2 at the origin, |g| <= MAX_STRENGTH, with
+    its string along -z.
 
-    string_thickness 0 is the thin, unobservable string.  Any positive value
-    selects the thick-string model; the value itself does not enter the phase.
+    string_thickness 0 is the thin, unobservable string, whose direction
+    does not enter the phase.  Any positive value selects the thick-string
+    model; the value itself does not enter the phase.  The string is fixed
+    along -z because the thick string's threading ramp is tied to where
+    solid_angle changes branch, the disk bz = 0, |b1| < 1.
     """
 
     strength_g: float
-    string_direction: tuple = (0.0, 0.0, -1.0)
     string_thickness: float = 0.0
 
     def __post_init__(self):
@@ -90,9 +88,6 @@ class MonopoleScene:
             )
         if self.string_thickness < 0:
             raise ValueError("string_thickness must be >= 0")
-        d = np.asarray(self.string_direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ValueError("string_direction must be a unit vector")
 
 
 def _fibonacci_directions(m=128):
@@ -246,23 +241,22 @@ def ab_phase(loop, scene):
     return scene.strength_g * solid_angle(loop)
 
 
-def _string_disk_distances(b1, bz, direction):
+def _string_disk_distances(b1, bz):
     """Distances from the centers (b1, 0, bz) of loops to the points where
-    the string ray t * direction, t > 0, meets their planes z = bz; inf
-    where the open ray misses the plane.  b1 and bz may be arrays."""
-    dx, dy, dz = (float(x) for x in direction)
-    t = np.asarray(bz, dtype=float) / (dz or np.inf)  # dz = 0 never meets
-    return np.where(t > 0.0, np.hypot(t * dx - b1, t * dy), np.inf)
+    the string, the open ray along -z, meets their planes z = bz: |b1|
+    below the monopole, inf elsewhere (bz = -0.0 included).  b1 and bz may
+    be arrays."""
+    return np.where(bz < 0.0, np.abs(b1), np.inf)
 
 
 def string_pierces_loop(loop, scene):
     """Whether the monopole string threads the open disk of the loop.
 
-    The string occupies the ray t * string_direction, t > 0.  Raises
+    The string occupies the open ray along -z whatever the scene.  Raises
     StringOnBoundary when the ray meets the loop circle itself (within
     1e-9), where the flux jump location is ambiguous.
     """
-    d = float(_string_disk_distances(loop.b1, loop.bz, scene.string_direction))
+    d = float(_string_disk_distances(loop.b1, loop.bz))
     if abs(d - 1.0) < 1e-9:
         raise StringOnBoundary(
             f"string ray meets the loop rim at (b1={loop.b1}, bz={loop.bz})"
@@ -289,7 +283,7 @@ def monopole_transport_trace(circuit_samples, scene):
 
     b1, bz = np.asarray(circuit_samples, dtype=float).T
     # rim contact is unambiguous for a finite tube: partially threaded
-    pierced = _string_disk_distances(b1, bz, scene.string_direction) <= 1.0 + 1e-9
+    pierced = _string_disk_distances(b1, bz) <= 1.0 + 1e-9
     # first and last sample of the pierced run through each pierced sample
     k = np.arange(len(phases))
     first = np.maximum.accumulate(np.where(pierced, 0, k + 1))

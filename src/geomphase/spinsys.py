@@ -59,9 +59,11 @@ The final pairs are the 2x2 propagators; their spin-J lifts, which equal the
 dimension-N step products exactly, come from one stacked eigh and are kept
 for total_unitary, which reads each point's arms from them and propagates a
 point alone only when no block held it.
-A block may also keep z-mirrors of its points without propagating them.
-sigma_x maps H_-(b1, bz) onto H_+(b1, -bz) step by step and flips only
-signs, so sense s of the mirror is (a*, -b*) of its partner's sense 1 - s:
+A block may also keep the z-mirrors of some of its points, each point at
+-bz, without propagating them; propagate_block takes the indices of those
+points and builds each mirror itself.  sigma_x maps H_-(b1, bz) onto
+H_+(b1, -bz) step by step and flips only signs, so sense s of the mirror
+is (a*, -b*) of its partner's sense 1 - s:
 U_+(b1, -bz) = sigma_x U_-(b1, bz) sigma_x.  Every nonzero value of the
 mirror's arithmetic is then the partner's with its sign flipped, so the
 rule gives every bit but the sign of an exact zero; a mirror whose partner's
@@ -619,33 +621,29 @@ def _memo_key(params, settings):
             settings.n_steps, settings.sampling_rule)
 
 
-def propagate_block(params, settings=PropagationSettings(), mirrors=None):
+def propagate_block(params, settings=PropagationSettings(), mirrors=()):
     """Propagate both arms of a block of at most block_points FieldParams
     sharing two_j in one pass, and keep the propagators for total_unitary,
-    in place of the last block's.  mirrors maps indices j into params to
-    the z-mirror of params[j], its FieldParams at -bz, which is kept from
-    the pairs of params[j] unless they hold an exact zero."""
+    in place of the last block's.  mirrors lists indices j into params
+    whose z-mirrors, params[j] at -bz, the block keeps too, from the pairs
+    of params[j] unless they hold an exact zero."""
     _block_memo.clear()
     two_j = _block_spin(params)
     most = block_points(two_j, settings.n_steps)
     if len(params) > most:
         raise ValueError(f"a block holds at most {most} points at two_j={two_j}, "
                          f"n_steps={settings.n_steps}")
-    mirrors = mirrors or {}
-    if any(_memo_key(m, settings) != _memo_key(replace(params[j], bz=-params[j].bz), settings)
-           for j, m in mirrors.items()):
-        raise ValueError("a mirror must differ from its partner in the sign of bz alone")
     a, b = _both_senses(params, settings)
     if mirrors:
         # the rule misses only the sign of an exact zero (module docstring)
         whole = (np.stack((a.real, a.imag, b.real, b.imag)) != 0.0).all(axis=(0, 1))
-        kept = [j for j in mirrors if whole[j]]
-        alone = [mirrors[j] for j in mirrors if not whole[j]]
+        kept, alone = ([j for j in mirrors if whole[j] == w] for w in (True, False))
+        flipped = [replace(params[j], bz=-params[j].bz) for j in kept + alone]
         parts = [(a, b), (np.conj(a[::-1, kept]), -np.conj(b[::-1, kept]))]
         if alone:
-            parts.append(_both_senses(alone, settings))
+            parts.append(_both_senses(flipped[len(kept):], settings))
         a, b = (np.concatenate(part, axis=1) for part in zip(*parts))
-        params = [*params, *(mirrors[j] for j in kept), *alone]
+        params = [*params, *flipped]
     lifts = _ck_matrix(a, b) if two_j == 1 else _lift_su2(a, b, two_j)
     for j, p in enumerate(params):
         _block_memo[_memo_key(p, settings)] = lifts[:, j]

@@ -538,7 +538,7 @@ class TestBlockReadings:
         blocks = []
         propagate_block = spinsys.propagate_block
 
-        def counting(params, settings, mirrors=None):
+        def counting(params, settings, mirrors=()):
             blocks.append(len(params))
             return propagate_block(params, settings, mirrors)
 

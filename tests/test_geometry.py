@@ -296,10 +296,6 @@ class TestAbPhase:
                 MonopoleScene(strength)
         assert MonopoleScene(-MAX_STRENGTH).strength_g == -MAX_STRENGTH
 
-    def test_string_direction_must_be_unit(self):
-        with pytest.raises(ValueError):
-            MonopoleScene(-0.5, string_direction=(0.0, 0.0, -2.0))
-
     def test_negative_thickness_rejected(self):
         with pytest.raises(ValueError):
             MonopoleScene(-0.5, string_thickness=-0.1)
@@ -324,10 +320,29 @@ class TestStringPiercing:
         with pytest.raises(StringOnBoundary):
             string_pierces_loop(LoopGeometry(1.0, -0.2), MonopoleScene(-0.5))
 
-    def test_tilted_string(self):
-        scene = MonopoleScene(-0.5, string_direction=(0.0, 0.0, 1.0))
-        assert string_pierces_loop(LoopGeometry(0.5, 0.2), scene)
-        assert not string_pierces_loop(LoopGeometry(0.5, -0.2), scene)
+    def test_string_runs_along_minus_z(self):
+        # the string is the open ray along -z: it threads a loop with
+        # |b1| < 1 just below the monopole's plane, and none at or above it
+        scene = MonopoleScene(-0.5)
+        for bz, pierced in ((0.0, False), (-0.0, False), (-1e-300, True),
+                            (0.2, False), (-0.2, True)):
+            for b1 in (0.5, -0.5):
+                assert string_pierces_loop(LoopGeometry(b1, bz), scene) == pierced, (b1, bz)
+        for b1 in (1.0, -1.0):
+            with pytest.raises(StringOnBoundary):
+                string_pierces_loop(LoopGeometry(b1, -0.2), scene)
+            assert not string_pierces_loop(LoopGeometry(b1, 0.2), scene)
+        # the thick string's flux jump is ramped where solid_angle changes
+        # branch, so the string adds no step of its own: a string along +z
+        # or +x would put a step of about pi into both traces
+        thick = MonopoleScene(-0.5, string_thickness=0.1)
+        steps = np.abs(np.diff(monopole_transport_trace(
+            rect_points([(0.5, 0.2), (1.5, 0.2), (1.5, -0.2), (0.5, -0.2)]), thick)))
+        assert steps.max() < 0.1
+        points = rect_points(preset_circuit("abcda")[0].vertices)
+        thin_steps = np.abs(np.diff(monopole_transport_trace(points, scene)))
+        thick_steps = np.abs(np.diff(monopole_transport_trace(points, thick)))
+        assert thick_steps.max() <= thin_steps.max() < 0.8
 
 
 class TestMonopoleTransport:
