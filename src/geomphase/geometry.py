@@ -90,18 +90,6 @@ class MonopoleScene:
             raise ValueError("string_thickness must be >= 0")
 
 
-def _fibonacci_directions(m=128):
-    k = np.arange(m)
-    z = 1.0 - (2.0 * k + 1.0) / m
-    phi = k * np.pi * (3.0 - np.sqrt(5.0))
-    rho = np.sqrt(1.0 - z * z)
-    dirs = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    # poles first so symmetric loops resolve ties deterministically
-    return np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], dirs])
-
-
-_APEX_CANDIDATES = _fibonacci_directions()
-
 _TRIG_CACHE = {}
 
 
@@ -112,21 +100,14 @@ def _unit_circle(n):
     return _TRIG_CACHE[n]
 
 
-def _fan_sum(u, apex):
-    """Signed spherical area of the closed polygon u, fanned from apex.
-
-    Uses the tetrahedron (van Oosterom-Strackee) formula per triangle.
-    Exact for the polygon as long as no edge meets the apex antipode, which
-    the apex selection in solid_angle guarantees.
-    """
-    r2 = u
-    r3 = np.roll(u, -1, axis=0)
-    cross = np.empty_like(r2)
-    cross[:, 0] = r2[:, 1] * r3[:, 2] - r2[:, 2] * r3[:, 1]
-    cross[:, 1] = r2[:, 2] * r3[:, 0] - r2[:, 0] * r3[:, 2]
-    cross[:, 2] = r2[:, 0] * r3[:, 1] - r2[:, 1] * r3[:, 0]
-    triple = cross @ apex
-    denom = 1.0 + r2 @ apex + r3 @ apex + np.einsum("ki,ki->k", r2, r3)
+def _fan_sum(u):
+    """Signed spherical area of the closed polygon u, fanned from +z with
+    the tetrahedron (van Oosterom-Strackee) formula per triangle
+    (+z, u_k, u_k+1); solid_angle says why every triangle is well
+    conditioned."""
+    v = np.roll(u, -1, axis=0)
+    triple = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    denom = 1.0 + u[:, 2] + v[:, 2] + np.einsum("ki,ki->k", u, v)
     return float(np.sum(2.0 * np.arctan2(triple, denom)))
 
 
@@ -149,14 +130,8 @@ def _loop_area(b1, height, n=LOOP_SAMPLES):
     pts[:, 2] = height
     r = np.sqrt(np.einsum("ki,ki->k", pts, pts))
     u = pts / r[:, None]
-    # apex farthest from the curve and its antipode (largest |cos| margin);
-    # a subsampled curve suffices to rank the candidates
-    stride = max(1, n // 256)
-    alignment = _APEX_CANDIDATES @ u[::stride].T
-    alignment = np.abs(alignment, out=alignment).max(axis=1)
-    apex = _APEX_CANDIDATES[int(np.argmin(alignment))]
-    area_full = _fan_sum(u, apex)
-    area_half = _fan_sum(u[::2], apex)
+    area_full = _fan_sum(u)
+    area_half = _fan_sum(u[::2])
     return (4.0 * area_full - area_half) / 3.0
 
 
@@ -168,16 +143,17 @@ _trace_areas = None
 def solid_angle(loop):
     """Signed solid angle subtended by the loop at the origin.
 
-    LOOP_SAMPLES points of the loop are projected onto the unit sphere and
-    fan-triangulated from an apex chosen (from a fixed direction grid) to
-    stay far from both the projected curve and its antipodal image; this
-    keeps every triangle well conditioned even when the curve passes
-    through a pole, which happens whenever |b1| = 1.  Richardson
+    The area is computed for the loop at |bz| and takes the sign of bz, so
+    Omega(b1, -bz) = -Omega(b1, bz) exactly away from the +-2*pi window
+    edge, also for bz = -0.0.  LOOP_SAMPLES points of that loop are
+    projected onto the unit sphere and fan-triangulated from the apex +z.
+    Every projected point has u_z >= 0, so no point or edge comes near the
+    antipode -z, and each triangle's denominator 1 + u_k,z + u_k+1,z +
+    u_k . u_k+1 is at least 1 + u_k . u_k+1 > 0; this holds also when the
+    loop runs through +z itself, which happens at |b1| = 1.  Richardson
     extrapolation of the polygon area in the sample count removes the
     leading discretization error, so doubling the points changes the
-    result by far less than 1e-6.  The area is computed for the loop at |bz| and takes the sign of
-    bz, so Omega(b1, -bz) = -Omega(b1, bz) exactly away from the +-2*pi
-    window edge, also for bz = -0.0.  Returns the representative in
+    result by far less than 1e-6.  Returns the representative in
     (-2*pi, 2*pi]; the value is only defined modulo 4*pi.
     """
     if loop.origin_distance() < 1e-9:
@@ -249,12 +225,12 @@ def _string_disk_distances(b1, bz):
     return np.where(bz < 0.0, np.abs(b1), np.inf)
 
 
-def string_pierces_loop(loop, scene):
-    """Whether the monopole string threads the open disk of the loop.
+def string_pierces_loop(loop):
+    """Whether the monopole string, the open ray along -z, threads the open
+    disk of the loop.
 
-    The string occupies the open ray along -z whatever the scene.  Raises
-    StringOnBoundary when the ray meets the loop circle itself (within
-    1e-9), where the flux jump location is ambiguous.
+    Raises StringOnBoundary when the ray meets the loop circle itself
+    (within 1e-9), where the flux jump location is ambiguous.
     """
     d = float(_string_disk_distances(loop.b1, loop.bz))
     if abs(d - 1.0) < 1e-9:

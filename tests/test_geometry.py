@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import elliprf, elliprj
 
 from geomphase import (
     DegenerateLoop,
@@ -49,6 +50,29 @@ def boundary_integral(b1, bz, n=8192):
     r2 = b1 * b1 + 2.0 * b1 * cos_t + 1.0
     f = (1.0 if bz >= 0.0 else -1.0) - bz / np.sqrt(r2 + bz * bz)
     return TWO_PI * float(np.mean(f * (1.0 + b1 * cos_t) / r2))
+
+
+def paxton_solid_angle(b1, bz):
+    """Closed-form solid angle of the unit circle centred at (b1, 0, bz),
+    independent of solid_angle's fan-sum: Paxton, Rev. Sci. Instrum. 30,
+    254 (1959), with Carlson's R_F and R_J.  With rho = |b1|, L = |bz|,
+    R^2 = (1 + rho)^2 + L^2, y = ((1 - rho)^2 + L^2) / R^2 and
+    q = (1 - rho) / (1 + rho), Omega = sign(bz) (2 pi [rho < 1] +
+    pi [rho = 1] - (2L/R)(K + q Pi)), K = R_F(0, y, 1) and
+    Pi = K + (1 - q^2) / 3 R_J(0, y, 1, q^2).  At rho = 1, R_J's last
+    argument is 0, so Omega = sign(bz) (pi - (2L/R) K) there.
+    """
+    rho, height = abs(b1), abs(bz)
+    r = math.hypot(1.0 + rho, height)
+    y = ((1.0 - rho) ** 2 + height * height) / (r * r)
+    k = float(elliprf(0.0, y, 1.0))
+    if rho == 1.0:
+        omega = np.pi - 2.0 * height / r * k
+    else:
+        q = (1.0 - rho) / (1.0 + rho)
+        elliptic_pi = k + (1.0 - q * q) / 3.0 * float(elliprj(0.0, y, 1.0, q * q))
+        omega = (TWO_PI if rho < 1.0 else 0.0) - 2.0 * height / r * (k + q * elliptic_pi)
+    return math.copysign(omega, bz)
 
 
 class TestSolidAngle:
@@ -103,6 +127,27 @@ class TestSolidAngle:
             diff = solid_angle(LoopGeometry(b1, bz)) - boundary_integral(b1, bz)
             diff -= FOUR_PI * round(diff / FOUR_PI)
             assert abs(diff) < 1e-8, (b1, bz)
+
+    def test_matches_closed_form(self):
+        # seeded loops at origin distance >= 0.01, half of them within 0.1
+        # of a degeneracy, where the fan-sum's discretization error peaks;
+        # loops through the apex +z (|b1| = 1); loops in the plane bz = +-0
+        rng = np.random.default_rng(36)
+        loops = []
+        while len(loops) < 200:
+            b1, bz = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-2.0, 2.0))
+            if LoopGeometry(b1, bz).origin_distance() >= 0.01:
+                loops.append((b1, bz))
+        for _ in range(200):
+            r, t = float(rng.uniform(0.01, 0.1)), float(rng.uniform(0.0, TWO_PI))
+            side = 1.0 if rng.random() < 0.5 else -1.0
+            loops.append((side * (1.0 + r * math.cos(t)), r * math.sin(t)))
+        loops += [(b1, bz) for b1 in (1.0, -1.0) for bz in (0.01, -0.01, 0.1, -1.0, 3.0)]
+        loops += [(b1, bz) for b1 in (0.0, 0.5, -0.99, 1.01, -2.0) for bz in (0.0, -0.0)]
+        for b1, bz in loops:
+            diff = solid_angle(LoopGeometry(b1, bz)) - paxton_solid_angle(b1, bz)
+            diff -= FOUR_PI * round(diff / FOUR_PI)
+            assert abs(diff) < 2e-9, (b1, bz)
 
     def test_orientation_antisymmetry(self):
         rng = np.random.default_rng(33)
@@ -308,30 +353,29 @@ class TestAbPhase:
 
 class TestStringPiercing:
     def test_below_plane_inside_disk(self):
-        assert string_pierces_loop(LoopGeometry(0.5, -0.2), MonopoleScene(-0.5))
+        assert string_pierces_loop(LoopGeometry(0.5, -0.2))
 
     def test_above_plane(self):
-        assert not string_pierces_loop(LoopGeometry(0.5, 0.2), MonopoleScene(-0.5))
+        assert not string_pierces_loop(LoopGeometry(0.5, 0.2))
 
     def test_outside_disk(self):
-        assert not string_pierces_loop(LoopGeometry(1.5, -0.2), MonopoleScene(-0.5))
+        assert not string_pierces_loop(LoopGeometry(1.5, -0.2))
 
     def test_rim_contact_is_ambiguous(self):
         with pytest.raises(StringOnBoundary):
-            string_pierces_loop(LoopGeometry(1.0, -0.2), MonopoleScene(-0.5))
+            string_pierces_loop(LoopGeometry(1.0, -0.2))
 
     def test_string_runs_along_minus_z(self):
         # the string is the open ray along -z: it threads a loop with
         # |b1| < 1 just below the monopole's plane, and none at or above it
-        scene = MonopoleScene(-0.5)
         for bz, pierced in ((0.0, False), (-0.0, False), (-1e-300, True),
                             (0.2, False), (-0.2, True)):
             for b1 in (0.5, -0.5):
-                assert string_pierces_loop(LoopGeometry(b1, bz), scene) == pierced, (b1, bz)
+                assert string_pierces_loop(LoopGeometry(b1, bz)) == pierced, (b1, bz)
         for b1 in (1.0, -1.0):
             with pytest.raises(StringOnBoundary):
-                string_pierces_loop(LoopGeometry(b1, -0.2), scene)
-            assert not string_pierces_loop(LoopGeometry(b1, 0.2), scene)
+                string_pierces_loop(LoopGeometry(b1, -0.2))
+            assert not string_pierces_loop(LoopGeometry(b1, 0.2))
         # the thick string's flux jump is ramped where solid_angle changes
         # branch, so the string adds no step of its own: a string along +z
         # or +x would put a step of about pi into both traces
@@ -340,7 +384,7 @@ class TestStringPiercing:
             rect_points([(0.5, 0.2), (1.5, 0.2), (1.5, -0.2), (0.5, -0.2)]), thick)))
         assert steps.max() < 0.1
         points = rect_points(preset_circuit("abcda")[0].vertices)
-        thin_steps = np.abs(np.diff(monopole_transport_trace(points, scene)))
+        thin_steps = np.abs(np.diff(monopole_transport_trace(points, MonopoleScene(-0.5))))
         thick_steps = np.abs(np.diff(monopole_transport_trace(points, thick)))
         assert thick_steps.max() <= thin_steps.max() < 0.8
 
