@@ -148,31 +148,29 @@ def _partners(points):
     return partner, np.signbit(points[:, 1]) != np.signbit(points[partner, 1])
 
 
-def _readings(points, beta, two_j, omega_sign, settings, branch, reuse=True):
+def _readings(points, beta, two_j, omega_sign, settings, branch):
     """Readings (c, alpha) at the rows (b1, bz) of points, as two arrays;
     alpha is NaN where phase.reading finds the arm states orthogonal.
 
-    With reuse, as a trace and each refinement depth read, each distinct
-    (b1, |bz|), keyed by its bits, is propagated once, by its first point,
-    its partner.  A repeat reads its partner's propagators.  A z-mirror
-    (b1, -bz) is named to spinsys.propagate_block by its partner's index in
-    the block, and takes sense s as (a*, -b*) of its partner's sense 1 - s,
-    since U_+(b1, -bz) = sigma_x U_-(b1, bz) sigma_x holds bit for bit
-    wherever the partner's pairs hold no exact zero (the block propagates
-    the others).  Every point keeps its own start state and spin-J lift, so
-    each reading has the bits the point gets alone.  Without reuse, as a
-    sweep reads, every point is propagated.  The propagated points are
-    started and propagated a block at a time, each block with the points
-    that read from it, and then every point is read one by one.  A block's
-    start states come first, so a bad branch raises before anything is
-    propagated, and a degenerate start before its block is."""
+    Each distinct (b1, |bz|), keyed by its bits, is propagated once, by its
+    first point, its partner.  A repeat reads its partner's propagators.  A
+    z-mirror (b1, -bz) is named to spinsys.propagate_block by its partner's
+    index in the block, and takes sense s as (a*, -b*) of its partner's
+    sense 1 - s, since U_+(b1, -bz) = sigma_x U_-(b1, bz) sigma_x holds bit
+    for bit wherever the partner's pairs hold no exact zero (the block
+    propagates the others).  Every point keeps its own start state and
+    spin-J lift, so each reading has the bits the point gets alone.  The
+    propagated points are started and propagated a block at a time, each
+    block with the points that read from it, and then every point is read
+    one by one.  A block's start states come first, so a bad branch raises
+    before anything is propagated, and a degenerate start before its block
+    is."""
     overlaps = np.empty(len(points), complex)
     # the first point's FieldParams checks two_j before it sizes the blocks
     first = spinsys.FieldParams(*points[0], beta, two_j, omega_sign)
     size = spinsys.block_points(first.two_j, settings.n_steps)
-    rows = np.arange(len(points))
-    partner, mirrored = _partners(points) if reuse else (rows, np.zeros(len(points), bool))
-    rank = np.cumsum(partner == rows) - 1  # of each propagated point
+    partner, mirrored = _partners(points)
+    rank = np.cumsum(partner == np.arange(len(points))) - 1  # of each propagated point
     block_of = rank[partner] // size
     order = np.argsort(block_of, kind="stable")
     cuts = np.flatnonzero(np.diff(block_of[order])) + 1
@@ -329,10 +327,6 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
     bzs = np.linspace(bz_range[0], bz_range[1], ny)
     # cells row-major in bz: b1 varies fastest
     cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
-    # Every cell is propagated.  Reusing z-mirrored rows would halve the
-    # benchmark's 2x2 long-cycle sweep to under the 0.1 s timer of its host
-    # sampler, which then records no sample (ROADMAP item 1); extend the
-    # reuse to sweeps once that sampler is mended.
-    c, alpha = _readings(cells, beta, two_j, omega_sign, settings, branch, reuse=False)
+    c, alpha = _readings(cells, beta, two_j, omega_sign, settings, branch)
     shape = (ny, nx)
     return SweepResult(b1s, bzs, c.reshape(shape), alpha.reshape(shape))

@@ -71,7 +71,8 @@ pairs hold an exact zero (beta = 0, a single step) is propagated instead.
 Each mirror's pair is lifted with the rest, so its lift has the bits of the
 mirror propagated alone, and the lifts of a block with its mirrors take at
 most twice the elements of the block's.  circuits._readings uses this
-within a trace; it keys the points by the bits of (b1, |bz|).
+for traces, refinement depths and sweeps; it keys the points by the bits
+of (b1, |bz|).
 """
 
 import functools

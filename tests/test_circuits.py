@@ -508,7 +508,6 @@ class TestBlockReadings:
             for omega_sign in (1, -1):
                 args = (0.6, two_j, omega_sign, settings, (two_j + 1) // 2)
                 reused = np.array(circuits._readings(points, *args)).tobytes()
-                assert reused == np.array(circuits._readings(points, *args, reuse=False)).tobytes()
                 alone = np.concatenate([circuits._readings(points[k:k + 1], *args)
                                         for k in range(len(points))], axis=1)
                 assert reused == alone.tobytes(), (rule, omega_sign)
@@ -645,11 +644,36 @@ class TestPartnerReuse:
         assert sum(propagated) == 360
         assert arms == [ArmSense.PLUS, ArmSense.MINUS] * 361
 
-    def test_sweep_propagates_every_cell(self, monkeypatch):
-        # the rows bz = -0.5 and 0.5 are bit mirrors, and both are propagated
+    def test_sweep_propagates_each_distinct_cell_once(self, monkeypatch):
+        # the rows bz = -0.5 and 0.5 are bit mirrors: the second reads the first
         propagated, arms = self.counting(monkeypatch)
         result = sweep_plane((0.5, 1.5), (-0.5, 0.5), (3, 2), 5.0,
                              settings=PropagationSettings(50))
         assert (result.bz_values[0] == -result.bz_values[1]).all()
-        assert sum(propagated) == 6
+        assert sum(propagated) == 3
+        # total_unitary still runs once per arm and cell
         assert arms == [ArmSense.PLUS, ArmSense.MINUS] * 6
+
+    @pytest.mark.parametrize("bz_range, ny, beta, propagated_cells", [
+        ((-0.5, 0.5), 5, 5.0, 9),  # rows -0.5 .. 0.5 pair about the 0.0 row
+        ((0.0, -0.0), 3, 5.0, 3),  # rows 0.0, 0.0 and -0.0: one repeat, one mirror
+        ((-0.5, 0.5), 5, 0.0, 15),  # at beta = 0 every mirror is propagated alone
+    ], ids=["mirrored-rows", "signed-zero-rows", "beta-0"])
+    @pytest.mark.parametrize("two_j, omega_sign, branch", [
+        (1, 1, 0), (1, -1, 1), (3, 1, 0), (3, -1, 2),
+    ], ids=["spin-1/2", "spin-1/2-reversed", "spin-3/2", "spin-3/2-middle-reversed"])
+    def test_sweep_matches_cells_read_alone(self, monkeypatch, bz_range, ny, beta,
+                                            propagated_cells, two_j, omega_sign, branch):
+        settings = PropagationSettings(60)
+        b1s, bzs = np.linspace(0.5, 1.5, 3), np.linspace(*bz_range, ny)
+        cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
+        args = (beta, two_j, omega_sign, settings, branch)
+        alone = np.concatenate([circuits._readings(cells[k:k + 1], *args)
+                                for k in range(len(cells))], axis=1)
+        propagated, _ = self.counting(monkeypatch)
+        result = sweep_plane((0.5, 1.5), bz_range, (3, ny), beta, two_j, settings,
+                             omega_sign, branch)
+        assert sum(propagated) == propagated_cells
+        assert circuits._partners(cells)[1].sum() == 3 * (ny // 2)
+        assert result.modulus_c.tobytes() == alone[0].tobytes()
+        assert result.alpha_wrapped.tobytes() == alone[1].tobytes()
