@@ -33,7 +33,6 @@ from .errors import (
     StringOnBoundary,
 )
 from .geometry import (
-    ORACLE_SIGN,
     LoopGeometry,
     MonopoleScene,
     ab_phase,
@@ -79,7 +78,6 @@ __all__ = [
     "MonopoleScene",
     "NonHermitianInput",
     "NonQuantizedWinding",
-    "ORACLE_SIGN",
     "OrthogonalStates",
     "PancharatnamReading",
     "PhaseTrace",

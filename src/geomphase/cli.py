@@ -33,24 +33,12 @@ from .errors import GeomphaseError
 TRACE_COLUMNS = (
     "index", "b1", "bz", "c", "alpha_wrapped", "alpha_unwrapped", "oracle_unwrapped"
 )
-TRACE_CSV_HEADER = ",".join(TRACE_COLUMNS)
 SWEEP_COLUMNS = ("i", "j", "b1", "bz", "c", "alpha_wrapped")
 MONOPOLE_COLUMNS = ("index", "b1", "bz", "phase_unwrapped")
 
 
 # Exit code 2: invalid input, an allocation too large to make, a failed write.
 INPUT_ERRORS = (ValueError, OSError, MemoryError, OverflowError)
-
-
-def circuit_to_json(circuit):
-    """Serialize a circuit to the on-disk JSON schema."""
-    return json.dumps(
-        {
-            "vertices": [[b1, bz] for b1, bz in circuit.vertices],
-            "points_per_segment": circuit.points_per_segment,
-        },
-        indent=2,
-    ) + "\n"
 
 
 def _is_number(x):

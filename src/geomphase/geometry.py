@@ -28,11 +28,6 @@ FOUR_PI = 4.0 * np.pi
 # far from overflow
 MAX_STRENGTH = 10 ** 6
 
-# Global sign relating the simulated interference phase to the solid-angle
-# variation, fixed once against the simulated gamma = 20 preset circuit and
-# locked by a regression test.
-ORACLE_SIGN = 1.0
-
 # Points per loop in solid_angle's fan-sum area
 LOOP_SAMPLES = 4096
 
@@ -112,12 +107,11 @@ def _fan_sum(u):
 
 
 def _canonical_window(omega):
-    """Shift by multiples of 4*pi into (-2*pi, 2*pi], preferring +2*pi."""
-    while omega - TWO_PI > 1e-9:
-        omega -= FOUR_PI
-    while omega + TWO_PI <= 1e-9:
-        omega += FOUR_PI
-    return omega
+    """Shift omega, a signed loop area, into (-2*pi, 2*pi], preferring
+    +2*pi.  Every area is fanned from +z at |bz| and lies in [0, 2*pi] to
+    within rounding (a few 1e-15), so omega lies in [-2*pi, 2*pi] and only
+    its lower edge needs the shift, by 4*pi."""
+    return omega + FOUR_PI if omega + TWO_PI <= 1e-9 else omega
 
 
 def _loop_area(b1, height, n=LOOP_SAMPLES):
@@ -198,18 +192,17 @@ def oracle_phase_trace(circuit_samples, two_j=1):
     """Adiabatic-limit prediction of the unwrapped interference phase.
 
     For each (b1, bz) the field-cycle solid angle is computed, the sequence
-    is unwrapped to a continuous branch, and the phase is
-    ORACLE_SIGN * two_j * (Omega - Omega_0) / 2, which starts at zero.  The
-    scale two_j is the signed spin factor: omega_sign * (two_j - 2*branch)
-    for a trace started in eigenstate branch, and two_j for the oracle
-    command.  A closed circuit looping a degeneracy once accumulates
+    is unwrapped to a continuous branch, and the phase is two_j * (Omega -
+    Omega_0) / 2, which starts at zero.  The scale two_j is the signed spin
+    factor: omega_sign * (two_j - 2*branch) for a trace started in
+    eigenstate branch, and two_j for the oracle command.  A closed circuit looping a degeneracy once accumulates
     -+2*pi*two_j.  |two_j| is at most MAX_TWO_J, as a spin's is.
     """
     if not abs(two_j) <= MAX_TWO_J:
         raise ValueError(f"the oracle's spin factor two_j must lie in "
                          f"[-{MAX_TWO_J}, {MAX_TWO_J}], got {two_j}")
     _, unwrapped = _solid_angle_trace(circuit_samples)
-    return ORACLE_SIGN * two_j * (unwrapped - unwrapped[0]) / 2.0
+    return two_j * (unwrapped - unwrapped[0]) / 2.0
 
 
 def ab_phase(loop, scene):

@@ -77,9 +77,6 @@ class PhaseTrace:
                                     names=SAMPLE_FIELDS)
         return cls(samples, metadata)
 
-    def alphas_unwrapped(self):
-        return self.samples.alpha_unwrapped
-
     def delta_alpha(self):
         alphas = self.samples.alpha_unwrapped
         return float(alphas[-1] - alphas[0])

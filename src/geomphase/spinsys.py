@@ -380,14 +380,16 @@ def _times(x, y):
         x[...] = _rounded(x, y)
 
 
-def _ordered(steps, mul, levels, tail=1, stored=False):
-    """Time-ordered product of steps, an array whose axis 1 is time, reduced
-    pairwise by mul(later, earlier, out) until at most tail entries are
-    left; returns them, in time order, as a view on axis 1.  levels holds
-    two buffers shaped like steps, with at least m/2 and m/4 entries
-    (rounded up) on axis 1 for m steps.  The levels are written to the front
-    of the two in turn, so the reduction allocates nothing; stopping at any
-    tail and reducing the rest later pairs the entries alike.
+def _ordered(steps, levels, tmp, tail=1, stored=False):
+    """Time-ordered product of steps, an array of pairs whose axis 1 is
+    time, reduced pairwise by _mul_ck with the scratch array tmp until at
+    most tail entries are left; returns them, in time order, as a view on
+    axis 1.  levels holds two buffers shaped like steps, with at least m/2
+    and m/4 entries (rounded up) on axis 1 for m steps, and tmp is shaped
+    like one of the pair's arrays with at least m/2 on axis 0.  The levels
+    are written to the front of the two in turn, so the reduction allocates
+    nothing; stopping at any tail and reducing the rest later pairs the
+    entries alike.
 
     stored says that the steps are in the stored order of _stored for this
     tail: each level that halves them exactly multiplies the later half by
@@ -401,9 +403,9 @@ def _ordered(steps, mul, levels, tail=1, stored=False):
         out = levels[0][:, :half + odd]
         stored = stored and not odd
         if stored:
-            mul(steps[:, half:m], steps[:, :half], out)
+            _mul_ck(steps[:, half:m], steps[:, :half], out, tmp)
         else:
-            mul(steps[:, 1:m - odd:2], steps[:, 0:m - odd:2], out[:, :half])
+            _mul_ck(steps[:, 1:m - odd:2], steps[:, 0:m - odd:2], out[:, :half], tmp)
             if odd:
                 out[:, half] = steps[:, m - 1]
         steps, m, levels = out, half + odd, levels[::-1]
@@ -543,9 +545,9 @@ def _both_senses(params, settings):
 
     def fold(running, chunks, length):
         trees = chunks * cols
-        mul = functools.partial(_mul_ck, tmp=t_tmp[:, :trees])
-        prods = _ordered(tail[:, :length, :trees], mul,
-                         (t_levels[0][..., :trees], t_levels[1][..., :trees]))[:, 0]
+        prods = _ordered(tail[:, :length, :trees],
+                         (t_levels[0][..., :trees], t_levels[1][..., :trees]),
+                         t_tmp[:, :trees])[:, 0]
         for j in range(0, trees, cols):
             running = _mul_ck(prods[:, j:j + cols], running)
         return running
@@ -578,14 +580,13 @@ def _both_senses(params, settings):
             w *= c
             _ck_steps(w, c * bz, 0.5 * settings.dt, a, real[:, pts, :m], mask[pts, :m])
             block = steps[:, pts, :m].swapaxes(1, -1)  # [pair, step(, point)]
-            mul = functools.partial(_mul_ck, tmp=tmp[:, pts])
             block_levels = (levels[0][..., pts], levels[1][..., pts])
             for sense in range(2):
                 if sense:  # (a, b) -> (a, -b*)
                     np.negative(w.real, out=w.real)
                 col = chunks * cols + sense * k + first
                 np.copyto(tail[:, :length, col if points == 1 else slice(col, col + points)],
-                          _ordered(block, mul, block_levels, TAIL, stored))
+                          _ordered(block, block_levels, tmp[:, pts], TAIL, stored))
         chunks += 1
     return [x.reshape(2, k) for x in fold(running, chunks, held)]
 

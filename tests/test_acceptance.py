@@ -69,7 +69,7 @@ def spqrs_trace():
 def jump_concentration(trace):
     """Share of the total |unwrapped-phase| variation inside the windows
     [40, 60] and [240, 260] (step k -> k+1 attributed to index k)."""
-    steps = np.abs(np.diff(trace.alphas_unwrapped()))
+    steps = np.abs(np.diff(trace.samples.alpha_unwrapped))
     k = np.arange(len(steps))
     window = ((k >= 40) & (k <= 60)) | ((k >= 240) & (k <= 260))
     return float(steps[window].sum() / steps.sum())
@@ -95,7 +95,7 @@ def test_criterion_2_jump_localization(abcda_trace, efghe_trace):
 
 
 def test_criterion_3_spqrs_smooth(spqrs_trace):
-    steps = np.abs(np.diff(spqrs_trace.alphas_unwrapped()))
+    steps = np.abs(np.diff(spqrs_trace.samples.alpha_unwrapped))
     w = winding(spqrs_trace)
     ok = float(np.max(steps)) < 0.25 and w == -1
     _report(3, "SPQRS smooth", ok, f"max_step={np.max(steps):.4f} winding={w}")
@@ -296,7 +296,7 @@ def test_criterion_10d_unwrap_round_trip():
         trace = PhaseTrace()
         for a in wrapped:
             unwrap_append(trace, PancharatnamReading(2.0, float(a)))
-        rewrapped = wrap_angle(trace.alphas_unwrapped())
+        rewrapped = wrap_angle(trace.samples.alpha_unwrapped)
         worst = max(worst, float(np.max(np.abs(rewrapped - wrapped))))
     ok = worst < 1e-9
     _report(10, "properties: unwrap round-trip", ok, f"max_dev={worst:.2e}")

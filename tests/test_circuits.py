@@ -182,7 +182,7 @@ class TestTraceCircuit:
         # this traversal: above the plane moving right, below moving left
         circuit, beta = preset_circuit("abcda")
         trace = trace_circuit(circuit, beta, settings=FAST)
-        steps = np.diff(trace.alphas_unwrapped())
+        steps = np.diff(trace.samples.alpha_unwrapped)
         first = steps[40:61].sum()
         second = steps[240:261].sum()
         assert first == pytest.approx(-np.pi, abs=0.5)

@@ -10,7 +10,6 @@ from geomphase import (
     DegenerateLoop,
     LoopGeometry,
     MonopoleScene,
-    ORACLE_SIGN,
     StringOnBoundary,
     ab_phase,
     monopole_transport_trace,
@@ -255,11 +254,6 @@ class TestOracleTrace:
             with pytest.raises(ValueError):
                 oracle_phase_trace(points, two_j)
 
-    def test_sign_constant_is_locked(self):
-        # regression: the global sign was fixed by matching the simulated
-        # gamma = 20 rectangle; see the acceptance suite for the live check
-        assert ORACLE_SIGN == 1.0
-
     def test_quantization_on_random_polygons(self):
         rng = np.random.default_rng(34)
         done = 0
@@ -280,7 +274,7 @@ class TestOracleTrace:
                 continue
             done += 1
             oracle = oracle_phase_trace(points)
-            turns = (oracle[-1] - oracle[0]) / (TWO_PI * ORACLE_SIGN)
+            turns = (oracle[-1] - oracle[0]) / TWO_PI
             expected = winding_number(verts, (1.0, 0.0)) - winding_number(
                 verts, (-1.0, 0.0)
             )

@@ -166,17 +166,17 @@ class TestInterferenceScan:
 class TestUnwrap:
     def test_branch_up(self):
         trace = build_trace([0.1, 3.0, -3.0])
-        out = trace.alphas_unwrapped()
+        out = trace.samples.alpha_unwrapped
         np.testing.assert_allclose(out, [0.1, 3.0, TWO_PI - 3.0], atol=1e-12)
 
     def test_constant_stays_constant(self):
         trace = build_trace([1.2] * 5)
-        np.testing.assert_allclose(trace.alphas_unwrapped(), 1.2, atol=1e-15)
+        np.testing.assert_allclose(trace.samples.alpha_unwrapped, 1.2, atol=1e-15)
 
     def test_branch_down(self):
         trace = build_trace([-3.1, 3.1])
         np.testing.assert_allclose(
-            trace.alphas_unwrapped(), [-3.1, 3.1 - TWO_PI], atol=1e-12
+            trace.samples.alpha_unwrapped, [-3.1, 3.1 - TWO_PI], atol=1e-12
         )
 
     def test_invariants_on_random_sequences(self):
@@ -184,7 +184,7 @@ class TestUnwrap:
         for _ in range(200):
             wrapped = rng.uniform(-np.pi, np.pi, size=rng.integers(2, 40))
             trace = build_trace(list(wrapped))
-            out = trace.alphas_unwrapped()
+            out = trace.samples.alpha_unwrapped
             assert out[0] == wrapped[0]
             steps = np.diff(out)
             assert np.all(steps > -np.pi) and np.all(steps <= np.pi + 1e-15)
@@ -197,7 +197,7 @@ class TestUnwrap:
         for _ in range(200):
             wrapped = rng.uniform(-np.pi, np.pi, size=rng.integers(2, 40))
             trace = build_trace(list(wrapped))
-            rewrapped = wrap_angle(trace.alphas_unwrapped())
+            rewrapped = wrap_angle(trace.samples.alpha_unwrapped)
             assert np.max(np.abs(rewrapped - wrapped)) < 1e-9
 
 

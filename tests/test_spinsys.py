@@ -1,6 +1,5 @@
 """Spin operators, Hamiltonian construction and arm propagation."""
 
-import functools
 import tracemalloc
 from dataclasses import replace
 
@@ -625,7 +624,7 @@ class TestBlocks:
         size = min(n_steps, CHUNK_STEPS)
         half = (size + 1) // 2
         levels = (np.empty((2, half), complex), np.empty((2, (half + 1) // 2), complex))
-        mul = functools.partial(spinsys._mul_ck, tmp=np.empty(half, complex))
+        tmp = np.empty(half, complex)
         for rule in SAMPLING_RULES:
             settings = PropagationSettings(n_steps, rule)
             a, b = spinsys._both_senses(params, settings)
@@ -647,7 +646,7 @@ class TestBlocks:
                     for sense, (a1, b1) in enumerate(running):
                         if sense:
                             np.negative(w.real, out=w.real)
-                        a2, b2 = spinsys._ordered(steps, mul, levels)[:, 0]
+                        a2, b2 = spinsys._ordered(steps, levels, tmp)[:, 0]
                         running[sense] = (a2 * a1 - np.conjugate(b1) * b2,
                                           a2 * b1 + np.conjugate(a1) * b2)
                 for sense, expected in enumerate(running):
@@ -775,10 +774,10 @@ class TestChunkLoop:
         finishes = []
         ordered = spinsys._ordered
 
-        def counting(steps, mul, levels, tail=1, stored=False):
+        def counting(steps, levels, tmp, tail=1, stored=False):
             if tail == 1:
                 finishes.append(steps.shape[1:])
-            return ordered(steps, mul, levels, tail, stored)
+            return ordered(steps, levels, tmp, tail, stored)
 
         monkeypatch.setattr(spinsys, "_ordered", counting)
         params = FieldParams(0.3, -0.5, 2.0, two_j=two_j)
