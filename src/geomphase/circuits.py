@@ -134,6 +134,7 @@ def sample_circuit(circuit):
     fractions = (np.arange(pps) / pps)[:, None]
     starts = np.array(circuit.vertices)[:, None]
     legs = starts + (np.roll(starts, -1, axis=0) - starts) * fractions
+    legs[:, 0] = starts[:, 0]  # -0.0 + 0.0 would drop a start's sign
     return np.concatenate((legs.reshape(-1, 2), starts[0]))
 
 
@@ -325,6 +326,7 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
                              "and a finite span")
     b1s = np.linspace(b1_range[0], b1_range[1], nx)
     bzs = np.linspace(bz_range[0], bz_range[1], ny)
+    b1s[0], bzs[0] = b1_range[0], bz_range[0]  # linspace drops a -0.0 start's sign
     # cells row-major in bz: b1 varies fastest
     cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
     c, alpha = _readings(cells, beta, two_j, omega_sign, settings, branch)

@@ -146,9 +146,11 @@ def solid_angle(loop):
     u_k . u_k+1 is at least 1 + u_k . u_k+1 > 0; this holds also when the
     loop runs through +z itself, which happens at |b1| = 1.  Richardson
     extrapolation of the polygon area in the sample count removes the
-    leading discretization error, so doubling the points changes the
-    result by far less than 1e-6.  Returns the representative in
-    (-2*pi, 2*pi]; the value is only defined modulo 4*pi.
+    leading discretization error.  Measured against Paxton's closed form,
+    the error is at most 1.8e-9 at distance 1e-2 from a degeneracy and
+    grows closer in: 5.2e-7 at 3.2e-3, 7.5e-5 at 1e-3, 7.1e-4 at 1e-4 and
+    about 1.02e-3 from 1e-6 down to 1e-9.  Returns the representative in (-2*pi, 2*pi];
+    the value is only defined modulo 4*pi.
     """
     if loop.origin_distance() < 1e-9:
         raise DegenerateLoop(
@@ -195,8 +197,9 @@ def oracle_phase_trace(circuit_samples, two_j=1):
     is unwrapped to a continuous branch, and the phase is two_j * (Omega -
     Omega_0) / 2, which starts at zero.  The scale two_j is the signed spin
     factor: omega_sign * (two_j - 2*branch) for a trace started in
-    eigenstate branch, and two_j for the oracle command.  A closed circuit looping a degeneracy once accumulates
-    -+2*pi*two_j.  |two_j| is at most MAX_TWO_J, as a spin's is.
+    eigenstate branch, and two_j for the oracle command.  A closed circuit
+    looping a degeneracy once accumulates -+2*pi*two_j.  |two_j| is at
+    most MAX_TWO_J, as a spin's is.
     """
     if not abs(two_j) <= MAX_TWO_J:
         raise ValueError(f"the oracle's spin factor two_j must lie in "

@@ -123,6 +123,12 @@ class TestSampling:
         assert len(samples) == 5
         np.testing.assert_array_equal(samples[0], samples[4])
 
+    def test_negative_zero_start_kept(self):
+        # the first sample is the start vertex itself, as the closing one is
+        samples = sample_circuit(Circuit(((0.5, -0.0), (0.5, 1.0), (-0.5, 1.0)), 4))
+        assert samples[0].tobytes() == samples[-1].tobytes()
+        assert np.signbit(samples[0, 1])
+
     def test_leg_midpoints_hit_singular_column(self):
         for name in ("ABCDA", "EFGHE", "SPQRS"):
             circuit, _ = preset_circuit(name)
@@ -176,6 +182,22 @@ class TestTraceCircuit:
         for two_j in (2, 3):
             trace = trace_circuit(circuit, beta=40.0, two_j=two_j, settings=FAST)
             assert winding(trace) == -two_j
+
+    def test_hexagon_windings_at_spin_one_half_and_oracle(self):
+        circuit = Circuit(HEXAGON, 60)
+        assert winding(trace_circuit(circuit, 20.0, 1, PropagationSettings(500))) == -1
+        oracle = oracle_phase_trace(sample_circuit(circuit), 3)
+        assert round((oracle[-1] - oracle[0]) / TWO_PI) == -3
+
+    # the known defect of ROADMAP item 3: today the spin-3/2 trace winds -2;
+    # reading every point from its spin-1/2 pair should make this pass
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="spin-3/2 phase loses a turn near an overlap zero")
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_hexagon_spin_three_halves_winds_three_times_spin_one_half(self, refine):
+        trace = trace_circuit(Circuit(HEXAGON, 60), 20.0, 3, PropagationSettings(500),
+                              refine=refine)
+        assert winding(trace) == -3
 
     def test_jumps_near_close_approach_share_sign(self):
         # the two passes near the degeneracy each contribute about -pi for
@@ -330,6 +352,63 @@ class TestTraceCircuit:
         assert trace.metadata.n_steps == 4000
 
 
+class TestOrthogonalArms:
+    """Arm states that come out orthogonal on a circuit, with the start
+    states and total unitaries faked as in TestSweep."""
+
+    CIRCUIT = Circuit(((0.5, 1.0), (1.5, 1.0), (1.5, -1.0), (0.5, -1.0)), 3)
+
+    @pytest.fixture
+    def fake_arms(self, monkeypatch):
+        """Fakes under which the PLUS arm is the identity and the MINUS arm
+        multiplies the start state by e^{i phi}, phi = phis[(b1, bz)] or 0,
+        or swaps it with the orthogonal state where phi is None."""
+        phis = {}
+
+        def fake_initial_states(params, branch=0):
+            return np.array([[1.0, 0.0]] * len(params), dtype=complex)
+
+        def fake_total_unitary(params, arm, settings):
+            phi = phis.get((params.b1, params.bz), 0.0)
+            if arm is ArmSense.PLUS:
+                return np.eye(2, dtype=complex)
+            if phi is None:
+                return np.eye(2, dtype=complex)[::-1]
+            return np.exp(1j * phi) * np.eye(2)
+
+        monkeypatch.setattr(circuits.spinsys, "initial_states", fake_initial_states)
+        monkeypatch.setattr(circuits.spinsys, "total_unitary", fake_total_unitary)
+        return phis
+
+    def test_orthogonal_sample_names_its_index(self, fake_arms, tmp_path, capsys):
+        k = 5
+        fake_arms[tuple(sample_circuit(self.CIRCUIT)[k])] = None
+        with pytest.raises(OrthogonalStates) as info:
+            trace_circuit(self.CIRCUIT, 20.0, settings=PropagationSettings(10))
+        assert info.value.sample_index == k
+        assert f"sample {k} " in str(info.value)
+        path, out = tmp_path / "c.json", tmp_path / "t.csv"
+        path.write_text(json.dumps({"vertices": self.CIRCUIT.vertices,
+                                    "points_per_segment": 3}))
+        assert main(["simulate", "--circuit", str(path), "--beta", "20",
+                     "--steps", "10", "--out", str(out)]) == 3
+        assert f"OrthogonalStates: sample={k}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_orthogonal_midpoint_is_a_refined_point(self, fake_arms):
+        # a 2 rad jump at sample 5 trips the pi/2 trigger on both its gaps,
+        # and only the two midpoints spliced in there are orthogonal
+        samples = sample_circuit(self.CIRCUIT)
+        fake_arms[tuple(samples[5])] = 2.0
+        for mid in 0.5 * (samples[4:6] + samples[5:7]):
+            fake_arms[tuple(mid)] = None
+        trace_circuit(self.CIRCUIT, 20.0, settings=PropagationSettings(10))
+        with pytest.raises(OrthogonalStates, match="refined point") as info:
+            trace_circuit(self.CIRCUIT, 20.0, settings=PropagationSettings(10),
+                          refine=True)
+        assert info.value.sample_index is None
+
+
 class TestSweep:
     def test_beta_zero_phases_vanish(self):
         result = sweep_plane(
@@ -391,6 +470,18 @@ class TestSweep:
         for name in ("modulus_c", "alpha_wrapped"):
             cells = getattr(result, name).ravel()[order]
             assert samples[name].tolist() == cells.tolist()
+
+    def test_negative_zero_start_kept(self):
+        # a -0.0 start and a 0.0 end give a z-mirror pair of rows, each read
+        # as the cells would be alone
+        settings = PropagationSettings(200)
+        result = sweep_plane((0.5, 1.5), (-0.0, 0.0), (2, 2), 5.0, 3, settings)
+        assert np.signbit(result.bz_values).tolist() == [True, False]
+        for i, bz in enumerate(result.bz_values):
+            for j, b1 in enumerate(result.b1_values):
+                alone = circuits._readings(np.array([[b1, bz]]), 5.0, 3, 1, settings, 0)
+                assert np.concatenate(alone).tobytes() == np.array(
+                    [result.modulus_c[i, j], result.alpha_wrapped[i, j]]).tobytes()
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
