@@ -30,7 +30,8 @@ SINGULAR_GUARD = 1e-6
 REFINE_TRIGGER = np.pi / 2.0
 REFINE_MAX_DEPTH = 8
 
-# most parameter points a circuit's samples or a sweep grid may hold
+# most parameter points a circuit's samples, a refined trace or a sweep
+# grid may hold
 MAX_POINTS = 10 ** 6
 
 PRESET_NAMES = ("ABCDA", "EFGHE", "SPQRS")
@@ -122,19 +123,36 @@ def preset_circuit(name):
     return Circuit(vertices, points_per_segment=100, name=key), beta
 
 
+def _spaced(start, stop, k, parts):
+    """The points k/parts of the way from start to stop, for integers k in
+    [0, parts], each rounded from its nearer end; the arguments broadcast.
+
+    start + (stop - start) * k/parts where 2k < parts, stop + (start -
+    stop) * (parts - k)/parts where 2k > parts, and 0.5*start + 0.5*stop at
+    2k == parts, so swapping the ends gives the same bits in reverse order
+    and negating them negates the bits.  The ends come back exactly, -0.0
+    included.
+    """
+    m = np.minimum(k, parts - k)  # steps from the nearer end
+    near = np.where(2 * k < parts, start, stop)
+    far = np.where(2 * k < parts, stop, start)
+    points = np.where(m == 0, near, near + (far - near) * (m / parts))
+    return np.where(2 * k == parts, 0.5 * start + 0.5 * stop, points)
+
+
 def sample_circuit(circuit):
-    """Equispaced samples along each segment, closed with a repeated start.
+    """Points spaced equally along each segment, closed with a repeated start.
 
     Each segment contributes points_per_segment points including its start
-    vertex and excluding its end vertex; the first point is appended again
-    at the end, so a rectangle at 100 points per segment yields 401 samples
-    with sample[0] == sample[400].
+    vertex and excluding its end vertex, each rounded from the segment's
+    nearer end (_spaced), so the reversed circuit samples the same points
+    and a circuit mirrored in bz samples their mirrors, bit for bit.  The
+    first point is appended again at the end, so a rectangle at 100 points
+    per segment yields 401 samples with sample[0] == sample[400].
     """
     pps = circuit.points_per_segment
-    fractions = (np.arange(pps) / pps)[:, None]
     starts = np.array(circuit.vertices)[:, None]
-    legs = starts + (np.roll(starts, -1, axis=0) - starts) * fractions
-    legs[:, 0] = starts[:, 0]  # -0.0 + 0.0 would drop a start's sign
+    legs = _spaced(starts, np.roll(starts, -1, axis=0), np.arange(pps)[:, None], pps)
     return np.concatenate((legs.reshape(-1, 2), starts[0]))
 
 
@@ -204,18 +222,24 @@ def _require_defined(points, alpha, at_samples):
 def _refine(points, c, alpha, args):
     """The columns (points, c, alpha) with midpoints spliced in, one depth at
     a time, between all adjacent points whose wrapped phase step exceeds
-    REFINE_TRIGGER; a depth's midpoints are read at once, by _readings."""
+    REFINE_TRIGGER; a depth's midpoints are read at once, by _readings.
+    Raises RefinementDepthExceeded past REFINE_MAX_DEPTH, and before reading
+    a depth that would take the points past MAX_POINTS."""
     origin = np.arange(len(points))  # the sample each point descends from
     for depth in range(REFINE_MAX_DEPTH + 1):
         steps = np.abs(phase.wrap_angle(np.diff(alpha)))
         jumps = np.flatnonzero(steps > REFINE_TRIGGER)
         if not jumps.size:
             break
-        if depth == REFINE_MAX_DEPTH:
+        total = len(points) + jumps.size
+        if depth == REFINE_MAX_DEPTH or total > MAX_POINTS:
             (b0, z0), (b1, z1) = points[jumps[0]], points[jumps[0] + 1]
+            why = (f"wrapped phase still jumps after depth {REFINE_MAX_DEPTH} bisection"
+                   if depth == REFINE_MAX_DEPTH else
+                   f"depth {depth + 1} bisection would hold {total} points, above "
+                   f"MAX_POINTS = {MAX_POINTS}; the wrapped phase jumps")
             raise RefinementDepthExceeded(
-                f"wrapped phase still jumps after depth {REFINE_MAX_DEPTH} "
-                f"bisection between ({b0:.6g}, {z0:.6g}) and ({b1:.6g}, {z1:.6g})",
+                f"{why} between ({b0:.6g}, {z0:.6g}) and ({b1:.6g}, {z1:.6g})",
                 sample_index=int(origin[jumps[0]]))
         mid = 0.5 * (points[jumps] + points[jumps + 1])
         mid_c, mid_alpha = _readings(mid, *args)
@@ -236,8 +260,9 @@ def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings()
     the starting branch and omega_sign (the unwrapped phase starts at its
     first wrapped value, the oracle at zero).  With refine=True, every
     consecutive pair whose wrapped-phase step exceeds pi/2 is bisected, one
-    depth at a time (depth <= 8), and the midpoints are spliced in; where
-    several refined points fail, the depth order picks the one reported.
+    depth at a time (depth <= 8, MAX_POINTS points in all), and the
+    midpoints are spliced in; where several refined points fail, the depth
+    order picks the one reported.
     """
     samples = sample_circuit(circuit)
     gaps = [np.hypot(*(samples - s).T) for s in SINGULAR_POINTS]
@@ -309,8 +334,12 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
                 settings=spinsys.PropagationSettings(), omega_sign=1, branch=0):
     """Pancharatnam readings over an (nx, ny) grid of parameter points.
 
-    Grid cells where the two arm states come out orthogonal keep their
-    modulus but record NaN for the phase instead of aborting the sweep.
+    Each axis holds its range's ends and the points spaced equally between
+    them, each rounded from its nearer end (_spaced), so a reversed range
+    gives the same values in reverse order and negated ends give negated
+    values, bit for bit.  Grid cells where the two arm states come out
+    orthogonal keep their modulus but record NaN for the phase instead of
+    aborting the sweep.
     The grid holds at most MAX_POINTS cells.
     """
     nx, ny = grid
@@ -324,9 +353,8 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
         if not math.isfinite(float(hi) - float(lo)):
             raise ValueError(f"the {name} range [{lo}, {hi}] needs finite ends "
                              "and a finite span")
-    b1s = np.linspace(b1_range[0], b1_range[1], nx)
-    bzs = np.linspace(bz_range[0], bz_range[1], ny)
-    b1s[0], bzs[0] = b1_range[0], bz_range[0]  # linspace drops a -0.0 start's sign
+    b1s = _spaced(b1_range[0], b1_range[1], np.arange(nx), nx - 1)
+    bzs = _spaced(bz_range[0], bz_range[1], np.arange(ny), ny - 1)
     # cells row-major in bz: b1 varies fastest
     cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
     c, alpha = _readings(cells, beta, two_j, omega_sign, settings, branch)

@@ -129,6 +129,51 @@ class TestSampling:
         assert samples[0].tobytes() == samples[-1].tobytes()
         assert np.signbit(samples[0, 1])
 
+    @pytest.mark.parametrize("vertices", [
+        ((0.5, 0.01), (1.5, 0.01), (1.5, -0.01), (0.5, -0.01)),
+        ((0.5, 1.0), (1.5, 1.0), (1.5, -1.0), (0.5, -1.0)),
+        HEXAGON,
+        ((0.31, -0.7), (1.93, 0.45), (-0.12, 0.83)),
+    ], ids=["abcda", "spqrs", "hexagon", "triangle"])
+    @pytest.mark.parametrize("pps", [1, 2, 7, 100])
+    def test_reversed_circuit_samples_the_same_bits(self, vertices, pps):
+        circuit = Circuit(vertices, pps)
+        forward, backward = (sample_circuit(c) for c in (circuit, circuit.reversed()))
+        # the closing repeats differ: each circuit starts at its own vertex
+        assert ({row.tobytes() for row in forward[:-1]}
+                == {row.tobytes() for row in backward[:-1]})
+        assert len({row.tobytes() for row in forward[:-1]}) == len(forward) - 1
+
+    @pytest.mark.parametrize("vertices", [
+        ((0.5, 0.013), (1.5, 0.037), (1.4, -0.29), (0.6, -0.11)),
+        HEXAGON,
+    ], ids=["quadrilateral", "hexagon"])
+    @pytest.mark.parametrize("pps", [1, 2, 7, 100])
+    def test_negated_bz_gives_negated_bits(self, vertices, pps):
+        mirror = tuple((b1, -bz) for b1, bz in vertices)
+        samples, mirrored = (sample_circuit(Circuit(v, pps)) for v in (vertices, mirror))
+        assert mirrored[:, 0].tobytes() == samples[:, 0].tobytes()
+        assert mirrored[:, 1].tobytes() == (-samples[:, 1]).tobytes()
+
+    @pytest.mark.parametrize("start, stop", [
+        (0.5, 1.5), (-0.1, 0.1), (0.3, -0.7), (-0.0, 0.0), (0.0, -0.0),
+        (-1e300, 1e300), (1e-320, -3e-321),
+    ])
+    def test_two_point_axis_matches_linspace(self, start, stop):
+        spaced = circuits._spaced(start, stop, np.arange(2), 1)
+        linspace = np.linspace(start, stop, 2)
+        linspace[0] = start  # np.linspace drops a -0.0 start's sign
+        assert spaced.tobytes() == linspace.tobytes()
+
+    def test_negative_zero_ends_kept(self):
+        # a circuit leg and a sweep axis keep -0.0 at either end
+        for start, stop in ((-0.0, 0.0), (0.0, -0.0), (-0.0, 1.0), (1.0, -0.0)):
+            axis = circuits._spaced(start, stop, np.arange(5), 4)
+            assert np.signbit(axis[[0, -1]]).tolist() == [
+                np.signbit(start), np.signbit(stop)]
+        samples = sample_circuit(Circuit(((0.5, 1.0), (0.5, -0.0), (-0.5, 1.0)), 4))
+        assert np.signbit(samples[4, 1])
+
     def test_leg_midpoints_hit_singular_column(self):
         for name in ("ABCDA", "EFGHE", "SPQRS"):
             circuit, _ = preset_circuit(name)
@@ -333,6 +378,45 @@ class TestTraceCircuit:
         trace = trace_circuit(circuit, beta, two_j, settings, refine=True)
         assert trace.samples.tobytes() == expected.samples.tobytes()
 
+    def test_refinement_capped_at_max_points(self, monkeypatch):
+        # 21 samples and 22 midpoints over 6 depths: a cap one below the
+        # total stops the last depth before its midpoints are read
+        circuit = Circuit(((0.5, 0.01), (1.5, 0.01), (1.5, -0.01), (0.5, -0.01)), 5)
+        full = trace_circuit(circuit, 2000.0, 3, FAST, refine=True)
+        assert len(full.samples) == 43
+        monkeypatch.setattr(circuits, "MAX_POINTS", 43)
+        capped = trace_circuit(circuit, 2000.0, 3, FAST, refine=True)
+        assert capped.samples.tobytes() == full.samples.tobytes()
+        calls = []
+        readings = circuits._readings
+
+        def counted(points, *args):
+            calls.append(len(points))
+            return readings(points, *args)
+
+        monkeypatch.setattr(circuits, "_readings", counted)
+        monkeypatch.setattr(circuits, "MAX_POINTS", 42)
+        with pytest.raises(RefinementDepthExceeded, match="MAX_POINTS = 42") as info:
+            trace_circuit(circuit, 2000.0, 3, FAST, refine=True)
+        assert 0 <= info.value.sample_index < 20
+        assert sum(calls) < 42
+
+    def test_refinement_cap_exits_3_and_writes_nothing(self, monkeypatch, tmp_path,
+                                                       capsys):
+        path = tmp_path / "rectangle.json"
+        path.write_text(json.dumps({"vertices": [[0.5, 0.01], [1.5, 0.01],
+                                                 [1.5, -0.01], [0.5, -0.01]],
+                                    "points_per_segment": 5}))
+        monkeypatch.setattr(circuits, "MAX_POINTS", 25)
+        out = tmp_path / "refined.json"
+        assert main(["simulate", "--circuit", str(path), "--beta", "2000",
+                     "--steps", "4000", "--two-j", "3", "--refine", "--format",
+                     "json", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("RefinementDepthExceeded: sample=")
+        assert "MAX_POINTS = 25" in err
+        assert not out.exists()
+
     def test_refinement_depth_exceeded_near_singularity(self):
         # a segment passing within 1e-5 of the degeneracy keeps a ~pi jump
         # no matter how finely it is bisected
@@ -500,7 +584,7 @@ class TestSweep:
     @pytest.mark.parametrize("two_j", [2, 3])
     def test_mirror_in_bz_every_branch(self, two_j):
         # c(b1, -bz) = c(b1, bz) and alpha(b1, -bz) = -alpha(b1, bz); the
-        # grids are exact mirrors, since linspace of negated ends is negated
+        # grids are exact mirrors, since spacing negated ends negates the bits
         settings = PropagationSettings(500)
         for branch in range(two_j + 1):
             # b1 keeps 0.3 from the degeneracies, where a small c would
@@ -716,15 +800,18 @@ class TestPartnerReuse:
     def test_each_distinct_point_propagated_once(self, monkeypatch):
         propagated, arms = self.counting(monkeypatch)
         settings = PropagationSettings(500)
-        for name, distinct in (("abcda", 276), ("efghe", 274), ("spqrs", 258)):
+        # each rectangle is symmetric about bz = 0: its 401 samples hold
+        # 201 distinct (b1, |bz|), the top leg, half of each side and the
+        # side midpoints on bz = 0
+        for name in ("abcda", "efghe", "spqrs"):
             circuit, beta = preset_circuit(name)
             samples = sample_circuit(circuit)
             partner, mirrored = circuits._partners(samples)
             assert (partner[400], mirrored[400]) == (0, False)  # the closing repeat
-            assert len(set(partner)) == distinct
+            assert len(set(partner)) == 201
             propagated.clear(), arms.clear()
             trace_circuit(circuit, beta, settings=settings)
-            assert sum(propagated) == distinct, name
+            assert sum(propagated) == 201, name
             # total_unitary still runs once per arm and sample
             assert arms == [ArmSense.PLUS, ArmSense.MINUS] * 401
         # a star polygon with no mirrors propagates all but its closing repeat
@@ -745,6 +832,17 @@ class TestPartnerReuse:
         # total_unitary still runs once per arm and cell
         assert arms == [ArmSense.PLUS, ArmSense.MINUS] * 6
 
+    def test_acceptance_grid_propagates_its_mirror_halves_once(self, monkeypatch):
+        # the 21x21 grid's 10 off-axis row pairs are bit mirrors and its
+        # bz = 0 row is exact, so 11 of its 21 rows are propagated
+        propagated, arms = self.counting(monkeypatch)
+        result = sweep_plane((0.5, 1.5), (-0.1, 0.1), (21, 21), 200.0,
+                             settings=PropagationSettings(50))
+        assert (result.bz_values == -result.bz_values[::-1]).all()
+        assert result.bz_values[10] == 0.0
+        assert sum(propagated) == 231
+        assert arms == [ArmSense.PLUS, ArmSense.MINUS] * 441
+
     @pytest.mark.parametrize("bz_range, ny, beta, propagated_cells", [
         ((-0.5, 0.5), 5, 5.0, 9),  # rows -0.5 .. 0.5 pair about the 0.0 row
         ((0.0, -0.0), 3, 5.0, 3),  # rows 0.0, 0.0 and -0.0: one repeat, one mirror
@@ -756,7 +854,8 @@ class TestPartnerReuse:
     def test_sweep_matches_cells_read_alone(self, monkeypatch, bz_range, ny, beta,
                                             propagated_cells, two_j, omega_sign, branch):
         settings = PropagationSettings(60)
-        b1s, bzs = np.linspace(0.5, 1.5, 3), np.linspace(*bz_range, ny)
+        b1s = circuits._spaced(0.5, 1.5, np.arange(3), 2)
+        bzs = circuits._spaced(*bz_range, np.arange(ny), ny - 1)
         cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
         args = (beta, two_j, omega_sign, settings, branch)
         alone = np.concatenate([circuits._readings(cells[k:k + 1], *args)

@@ -452,7 +452,8 @@ class TestRun:
     def test_sweep_range_checked_before_the_grid(self, bounds, tmp_path, capsys):
         out = tmp_path / "out.csv"
         with warnings.catch_warnings():
-            # np.linspace warns on such ranges before any point is checked
+            # spacing the axis points warns on such ranges before any point
+            # is checked
             warnings.simplefilter("error")
             assert main(["sweep", *SMALL_SWEEP, *bounds, "--out", str(out)]) == 2
         err = capsys.readouterr().err
