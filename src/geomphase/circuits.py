@@ -34,6 +34,14 @@ REFINE_MAX_DEPTH = 8
 # grid may hold
 MAX_POINTS = 10 ** 6
 
+# most work, in steps (_work), that a trace with its refinement or a sweep
+# may ask for.  On a shared 2-core x86 host a step took 40-50 ns, a spin-1/2
+# sweep cell 27 us more and a spin-50 cell 6.5 ms: about 100 s of work, not
+# counting a trace's fan-sum oracle (0.2 ms a sample).  It is 169 times the
+# largest test run (10000 points at 2 steps, spin 4) and 216 times the
+# largest spec run (the 21x21 acceptance sweep at 20000 steps).
+MAX_WORK = 2 * 10 ** 9
+
 PRESET_NAMES = ("ABCDA", "EFGHE", "SPQRS")
 _PRESET_BETAS = {"ABCDA": 2000.0, "EFGHE": 200.0, "SPQRS": 20.0}
 _PRESET_GAMMA = 20.0
@@ -167,6 +175,13 @@ def _partners(points):
     return partner, np.signbit(points[:, 1]) != np.signbit(points[partner, 1])
 
 
+def _work(points, two_j, settings):
+    """Work, in steps, of reading the given number of points: each costs its
+    n_steps, 1000 for its start state and reading, and (two_j + 1)**3 // 4
+    for its spin-J lift."""
+    return points * (settings.n_steps + 1000 + (two_j + 1) ** 3 // 4)
+
+
 def _readings(points, beta, two_j, omega_sign, settings, branch):
     """Readings (c, alpha) at the rows (b1, bz) of points, as two arrays;
     alpha is NaN where phase.reading finds the arm states orthogonal.
@@ -181,12 +196,17 @@ def _readings(points, beta, two_j, omega_sign, settings, branch):
     spin-J lift, so each reading has the bits the point gets alone.  The
     propagated points are started and propagated a block at a time, each
     block with the points that read from it, and then every point is read
-    one by one.  A block's start states come first, so a bad branch raises
+    one by one.  Points whose _work exceeds MAX_WORK raise ValueError before
+    any is read.  A block's start states come first, so a bad branch raises
     before anything is propagated, and a degenerate start before its block
     is."""
     overlaps = np.empty(len(points), complex)
-    # the first point's FieldParams checks two_j before it sizes the blocks
+    # the first point's FieldParams checks two_j before it sizes the work
     first = spinsys.FieldParams(*points[0], beta, two_j, omega_sign)
+    work = _work(len(points), first.two_j, settings)
+    if work > MAX_WORK:
+        raise ValueError(f"{len(points)} points at {settings.n_steps} steps and two_j="
+                         f"{first.two_j} ask for {work} steps, above MAX_WORK = {MAX_WORK}")
     size = spinsys.block_points(first.two_j, settings.n_steps)
     partner, mirrored = _partners(points)
     rank = np.cumsum(partner == np.arange(len(points))) - 1  # of each propagated point
@@ -224,7 +244,8 @@ def _refine(points, c, alpha, args):
     a time, between all adjacent points whose wrapped phase step exceeds
     REFINE_TRIGGER; a depth's midpoints are read at once, by _readings.
     Raises RefinementDepthExceeded past REFINE_MAX_DEPTH, and before reading
-    a depth that would take the points past MAX_POINTS."""
+    a depth that would take the points past MAX_POINTS or their _work past
+    MAX_WORK."""
     origin = np.arange(len(points))  # the sample each point descends from
     for depth in range(REFINE_MAX_DEPTH + 1):
         steps = np.abs(phase.wrap_angle(np.diff(alpha)))
@@ -232,12 +253,14 @@ def _refine(points, c, alpha, args):
         if not jumps.size:
             break
         total = len(points) + jumps.size
-        if depth == REFINE_MAX_DEPTH or total > MAX_POINTS:
+        work = _work(total, args[1], args[3])  # two_j, settings
+        if depth == REFINE_MAX_DEPTH or total > MAX_POINTS or work > MAX_WORK:
             (b0, z0), (b1, z1) = points[jumps[0]], points[jumps[0] + 1]
             why = (f"wrapped phase still jumps after depth {REFINE_MAX_DEPTH} bisection"
                    if depth == REFINE_MAX_DEPTH else
-                   f"depth {depth + 1} bisection would hold {total} points, above "
-                   f"MAX_POINTS = {MAX_POINTS}; the wrapped phase jumps")
+                   f"depth {depth + 1} bisection would hold {total} points and ask for "
+                   f"{work} steps, past MAX_POINTS = {MAX_POINTS} or MAX_WORK = "
+                   f"{MAX_WORK}; the wrapped phase jumps")
             raise RefinementDepthExceeded(
                 f"{why} between ({b0:.6g}, {z0:.6g}) and ({b1:.6g}, {z1:.6g})",
                 sample_index=int(origin[jumps[0]]))
@@ -260,9 +283,9 @@ def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings()
     the starting branch and omega_sign (the unwrapped phase starts at its
     first wrapped value, the oracle at zero).  With refine=True, every
     consecutive pair whose wrapped-phase step exceeds pi/2 is bisected, one
-    depth at a time (depth <= 8, MAX_POINTS points in all), and the
-    midpoints are spliced in; where several refined points fail, the depth
-    order picks the one reported.
+    depth at a time (depth <= 8, MAX_POINTS points and MAX_WORK in all), and
+    the midpoints are spliced in; where several refined points fail, the
+    depth order picks the one reported.
     """
     samples = sample_circuit(circuit)
     gaps = [np.hypot(*(samples - s).T) for s in SINGULAR_POINTS]
@@ -340,7 +363,7 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
     values, bit for bit.  Grid cells where the two arm states come out
     orthogonal keep their modulus but record NaN for the phase instead of
     aborting the sweep.
-    The grid holds at most MAX_POINTS cells.
+    The grid holds at most MAX_POINTS cells and asks for at most MAX_WORK.
     """
     nx, ny = grid
     if nx < 2 or ny < 2:

@@ -25,24 +25,14 @@ angle taken from one tan of the half angle.  A chunk loop builds the steps
 of a chunk of CHUNK_STEPS as one array whose time axis is axis 1, and the
 one pairwise reducer, _ordered, multiplies them in time order, so memory
 stays bounded for any n_steps and spin.  e^{-i t_k} over one chunk is
-cached per grid.  Points are propagated a block at a time, and each chunk
-of each point and arm is one tree of the pairwise product.  A chunk's steps
-are built for up to CHUNK_STEPS // n_steps points at a time (one point,
-chunked, past CHUNK_STEPS/2 steps) as one (2, points, steps) array.  The
-two arms see B_y of opposite sign, so one arm's steps are (a, b) and the
-other's (a, -b*): propagate_block builds each chunk's steps once, reduces
-them, flips b in place and reduces them again.
-Where a chunk holds one point, its steps are stored in bit-reversed order.
-Let p count the levels that halve the chunk's m steps exactly while more
-than TAIL entries are left (8 for a full chunk, 6 for the 16960-step last
-chunk of 10**6 steps, none for odd m), and q = m >> p: position
-rev_p(r) q + j holds step 2^p j + r, where rev_p reverses the p bits of r.
-Each of the first p levels then multiplies the later half by the earlier,
-two contiguous runs where time order pairs strided entries, and the q
-entries left are in time order.  The step grid is kept in that order (the
-last chunk has its own), so the steps are built in it.  The pairs, and the
-operations on each, are those of time order, so the product has the same
-bits.  A batch of points keeps time order.
+cached per grid, and a shorter last chunk reads its prefix.  Points are
+propagated a block at a time, and each chunk of each point and arm is one
+tree of the pairwise product.  A chunk's steps are built for up to
+CHUNK_STEPS // n_steps points at a time (one point, chunked, past
+CHUNK_STEPS/2 steps) as one (2, points, steps) array.  The two arms see B_y
+of opposite sign, so one arm's steps are (a, b) and the other's (a, -b*):
+propagate_block builds each chunk's steps once, reduces them, flips b in
+place and reduces them again.
 Each tree is reduced on its own only until at most TAIL entries are left,
 past which its levels are too short to keep numpy busy; the tails go into
 one tail buffer of CHUNK_STEPS entries, laid out [pair, step, tree], and
@@ -380,7 +370,7 @@ def _times(x, y):
         x[...] = _rounded(x, y)
 
 
-def _ordered(steps, levels, tmp, tail=1, stored=False):
+def _ordered(steps, levels, tmp, tail=1):
     """Time-ordered product of steps, an array of pairs whose axis 1 is
     time, reduced pairwise by _mul_ck with the scratch array tmp until at
     most tail entries are left; returns them, in time order, as a view on
@@ -389,75 +379,29 @@ def _ordered(steps, levels, tmp, tail=1, stored=False):
     like one of the pair's arrays with at least m/2 on axis 0.  The levels
     are written to the front of the two in turn, so the reduction allocates
     nothing; stopping at any tail and reducing the rest later pairs the
-    entries alike.
-
-    stored says that the steps are in the stored order of _stored for this
-    tail: each level that halves them exactly multiplies the later half by
-    the earlier, two contiguous runs, and leaves the stored order of half as
-    many entries, until the first odd level finds them in time order.  The
-    pairs, and the operations on each, are those of time order, so the
-    product has the same bits."""
+    entries alike."""
     m = steps.shape[1]
     while m > tail:
         half, odd = divmod(m, 2)
         out = levels[0][:, :half + odd]
-        stored = stored and not odd
-        if stored:
-            _mul_ck(steps[:, half:m], steps[:, :half], out, tmp)
-        else:
-            _mul_ck(steps[:, 1:m - odd:2], steps[:, 0:m - odd:2], out[:, :half], tmp)
-            if odd:
-                out[:, half] = steps[:, m - 1]
+        _mul_ck(steps[:, 1:m - odd:2], steps[:, 0:m - odd:2], out[:, :half], tmp)
+        if odd:
+            out[:, half] = steps[:, m - 1]
         steps, m, levels = out, half + odd, levels[::-1]
     return steps[:, :m]
 
 
-def _step_times(settings, start, stop):
-    k = np.arange(start, stop, dtype=float)
-    if settings.sampling_rule == "midpoint":
-        k += 0.5
-    return k * settings.dt
-
-
-def _stored(x):
-    """A copy of x, a chunk's values in time order, in the order in which
-    the chunk's steps are stored.  Let p count the levels that halve len(x)
-    exactly while more than TAIL entries are left, and q = len(x) >> p:
-    position rev_p(r) q + j holds x[2^p j + r], where rev_p reverses the p
-    bits of r, so the first p levels of _ordered each pair two contiguous
-    halves.  With p = 0 the order is time order."""
-    q, p = len(x), 0
-    while q > TAIL and q % 2 == 0:
-        q, p = q // 2, p + 1
-    # the axes of (j, r_{p-1}, ..., r_0), reversed
-    return x.reshape((q,) + (2,) * p).T.flatten()
-
-
-def _stored_order(n_steps):
-    """Whether the chunks of an n_steps cycle are stored in _stored order:
-    where a chunk holds one point.  A batch of points keeps time order:
-    in its [point, step] buffers the halves measured slower per point."""
-    return n_steps > CHUNK_STEPS // 2
-
-
 @functools.lru_cache(maxsize=1)
 def _step_grid(n_steps, sampling_rule):
-    """Read-only e^{-i t_k} over the first m steps of the grid, keyed by m,
-    for each chunk length m of the cycle: the first chunk's and a shorter
-    last chunk's.  Later chunks turn it by e^{-i start dt}.  Each grid is in
-    the order its chunk's steps are stored (_stored_order), so that the
-    steps are built in that order."""
-    settings = PropagationSettings(n_steps, sampling_rule)
-    size = min(n_steps, CHUNK_STEPS)
-    grid = np.exp(-1j * _step_times(settings, 0, size))
-    if _stored_order(n_steps):
-        # the full chunks' length and the last chunk's
-        grids = {m: _stored(grid[:m]) for m in {size, n_steps % size or size}}
-    else:
-        grids = {size: grid}
-    for e in grids.values():
-        e.flags.writeable = False
-    return grids
+    """Read-only e^{-i t_k} over the steps of the cycle's first chunk.
+    Later chunks turn it by e^{-i start dt}, and a shorter last chunk of m
+    steps reads its first m entries."""
+    k = np.arange(min(n_steps, CHUNK_STEPS), dtype=float)
+    if sampling_rule == "midpoint":
+        k += 0.5
+    grid = np.exp(-1j * (k * PropagationSettings(n_steps, sampling_rule).dt))
+    grid.flags.writeable = False
+    return grid
 
 
 def _tail_length(m):
@@ -523,21 +467,18 @@ def _both_senses(params, settings):
     (sense 1); H = c . S, S = sigma/2.  Flipping B_y turns each step
     into (a, -b*).
 
-    Each chunk of each point and sense is one tree of the pairwise product.
-    The steps of a chunk are built for a batch of points at a time, in
-    _stored order where a chunk holds one point (_stored_order), and each
-    tree is reduced on its own until at most TAIL entries are left; those
-    tails go into the tail buffer, one column per tree, and one _ordered
-    call per tail length finishes every tree held there.  Chunk products
-    are folded into the running products, in chunk order, when the buffer
-    is full, before a chunk of another tail length and at the end."""
+    Each chunk of each point and sense is one tree, built in time order
+    from the step grid, or its prefix for a short last chunk, reduced alone
+    to at most TAIL entries and finished in the tail buffer, one column per
+    tree, with every tree of its tail length.  Chunk products fold into the
+    running products in chunk order (module docstring)."""
     n, k = settings.n_steps, len(params)
     size = min(n, CHUNK_STEPS)
     batch = min(block_points(params[0].two_j, n), max(1, CHUNK_STEPS // n))
     rows = _tail_rows(n)
     steps, levels, tmp, real, mask, tail, t_levels, t_tmp = _workspace(
         batch, size, rows, max(2, CHUNK_STEPS // (2 * rows)))
-    grids, stored = _step_grid(n, settings.sampling_rule), _stored_order(n)
+    grid = _step_grid(n, settings.sampling_rule)
     fields = np.array([(p.b1, p.bz, p.beta) for p in params])
     cols = 2 * k  # one chunk's trees, [sense, point]
     running = np.empty((2, cols), complex)
@@ -559,7 +500,7 @@ def _both_senses(params, settings):
         if chunks and (length != held or (chunks + 1) * cols > tail.shape[2]):
             running, chunks = fold(running, chunks, held), 0
         held = length
-        e, rotation = grids[m], np.exp(-1j * start * settings.dt)
+        e, rotation = grid[:m], np.exp(-1j * start * settings.dt)
         for first in range(0, k, batch):
             points = min(batch, k - first)
             # a batch of one point runs on 1-D views, which numpy sets up
@@ -586,7 +527,7 @@ def _both_senses(params, settings):
                     np.negative(w.real, out=w.real)
                 col = chunks * cols + sense * k + first
                 np.copyto(tail[:, :length, col if points == 1 else slice(col, col + points)],
-                          _ordered(block, block_levels, tmp[:, pts], TAIL, stored))
+                          _ordered(block, block_levels, tmp[:, pts], TAIL))
         chunks += 1
     return [x.reshape(2, k) for x in fold(running, chunks, held)]
 

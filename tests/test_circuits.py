@@ -417,6 +417,45 @@ class TestTraceCircuit:
         assert "MAX_POINTS = 25" in err
         assert not out.exists()
 
+    def test_refinement_capped_at_max_work(self, monkeypatch):
+        # the case above, with the work of 43 points as the bound and then
+        # one step less: the last depth stops before its midpoints are read
+        circuit = Circuit(((0.5, 0.01), (1.5, 0.01), (1.5, -0.01), (0.5, -0.01)), 5)
+        full = trace_circuit(circuit, 2000.0, 3, FAST, refine=True)
+        monkeypatch.setattr(circuits, "MAX_WORK", circuits._work(43, 3, FAST))
+        capped = trace_circuit(circuit, 2000.0, 3, FAST, refine=True)
+        assert capped.samples.tobytes() == full.samples.tobytes()
+        calls = []
+        readings = circuits._readings
+
+        def counted(points, *args):
+            calls.append(len(points))
+            return readings(points, *args)
+
+        monkeypatch.setattr(circuits, "_readings", counted)
+        monkeypatch.setattr(circuits, "MAX_WORK", circuits._work(43, 3, FAST) - 1)
+        with pytest.raises(RefinementDepthExceeded, match="MAX_WORK = ") as info:
+            trace_circuit(circuit, 2000.0, 3, FAST, refine=True)
+        assert 0 <= info.value.sample_index < 20
+        assert sum(calls) < 42
+
+    def test_work_budget_checked_before_any_point_is_read(self, monkeypatch):
+        # 21 samples, or 21 sweep cells, one step of work over the bound
+        def unreachable(*args):
+            raise AssertionError("propagated past the work budget")
+
+        monkeypatch.setattr(spinsys, "initial_states", unreachable)
+        monkeypatch.setattr(spinsys, "propagate_block", unreachable)
+        circuit = Circuit(((0.5, 0.01), (1.5, 0.01), (1.5, -0.01), (0.5, -0.01)), 5)
+        for two_j in (1, 3, 100):
+            monkeypatch.setattr(circuits, "MAX_WORK", circuits._work(21, two_j, FAST) - 1)
+            with pytest.raises(ValueError, match=f"21 points at 4000 steps and two_j={two_j}"):
+                trace_circuit(circuit, 2000.0, two_j, FAST)
+            with pytest.raises(ValueError, match="MAX_WORK"):
+                sweep_plane((0.5, 1.5), (-0.5, 0.5), (7, 3), 20.0, two_j, FAST)
+        # the lift's term grows as the cube of the dimension
+        assert circuits._work(1, 100, FAST) - circuits._work(1, 1, FAST) == 101 ** 3 // 4 - 2
+
     def test_refinement_depth_exceeded_near_singularity(self):
         # a segment passing within 1e-5 of the degeneracy keeps a ~pi jump
         # no matter how finely it is bisected

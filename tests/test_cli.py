@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomphase import MonopoleScene, PhaseTrace, PancharatnamReading, unwrap_append
+from geomphase import MonopoleScene, PhaseTrace, PancharatnamReading, spinsys, unwrap_append
 from geomphase.circuits import Circuit, preset_circuit
 from geomphase.cli import (
     circuit_from_json,
@@ -442,6 +442,27 @@ class TestRun:
                          "--steps", "7", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("geomphase: error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--circuit", "spqrs", "--points-per-segment", "250000",
+         "--steps", "100000000", "--two-j", "100", "--refine"],
+        ["sweep", "--b1-min", "0.5", "--b1-max", "1.5", "--bz-min", "-0.5",
+         "--bz-max", "0.5", "--nx", "1000", "--ny", "1000", "--beta", "5"],
+    ], ids=["simulate", "sweep"])
+    def test_work_over_budget_exits_2_before_any_work(self, argv, tmp_path, capsys,
+                                                      monkeypatch):
+        # each factor is in range; together they would run for weeks, or
+        # for about 20 minutes at 20000 steps a cell
+        def unreachable(*args):
+            raise AssertionError("propagated past the work budget")
+
+        monkeypatch.setattr(spinsys, "propagate_block", unreachable)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("geomphase: error: ") and "MAX_WORK" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds", [

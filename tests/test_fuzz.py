@@ -2,8 +2,10 @@
 
 Every command line, however odd, must end in a documented exit code (0, 2
 or 3) with no traceback and no warning, and an exit 2 must leave no output
-file.  The draws are fixed by SEED; cases run in order until BUDGET_S has
-passed, so a slow host runs a prefix of the same sequence.
+file.  Some draws are valid in each flag but ask for more than MAX_WORK in
+all, and must exit 2.  The draws are fixed by SEED; cases run in order
+until BUDGET_S has passed, so a slow host runs a prefix of the same
+sequence.
 """
 
 import json
@@ -14,9 +16,9 @@ import warnings
 
 import pytest
 
-from geomphase.circuits import MAX_POINTS
+from geomphase.circuits import MAX_POINTS, MAX_WORK, _work
 from geomphase.cli import main
-from geomphase.spinsys import MAX_STEPS, MAX_TWO_J
+from geomphase.spinsys import MAX_STEPS, MAX_TWO_J, PropagationSettings
 
 SEED = 14
 CASES = 400
@@ -32,6 +34,12 @@ EDGE_FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "5e307", "1e-300",
 EDGE_SIZES = ["1", "0", "-1", HUGE, str(MAX_POINTS)]
 EDGE_STEPS = ["0", "-3", str(MAX_STEPS + 1), HUGE]
 EDGE_TWO_JS = ["0", "-1", str(MAX_TWO_J + 1), str(10 ** 308), HUGE]
+# sizes that are valid alone, drawn together as an over-budget request: a
+# circuit or grid of about MAX_POINTS points at MAX_STEPS steps, at spin
+# MAX_TWO_J / 2, or both
+HUGE_SIZE = MAX_POINTS // 4
+HUGE_GRID = 1000
+HUGE_STRESS = [("--steps",), ("--two-j",), ("--steps", "--two-j")]
 ORDINARY = {
     "--points-per-segment": ["1", "2", "3"],
     "--beta": ["0", "0.5", "2", "20", "200"],
@@ -91,7 +99,11 @@ def _draw(rng, tmp_path):
 
     command = rng.choice(["simulate", "oracle", "sweep", "monopole"])
     argv.append(command)
-    if command != "sweep":
+    huge = command in ("simulate", "sweep") and edge()
+    stress = rng.choice(HUGE_STRESS) if huge else ()
+    if huge and command == "simulate":
+        argv += [f"--circuit={rng.choice(PRESETS)}", f"--points-per-segment={HUGE_SIZE}"]
+    elif command != "sweep":
         if rng.random() < 0.5:
             # presets always get a size: at 100 points per segment the
             # oracle alone takes a tenth of a second
@@ -110,8 +122,13 @@ def _draw(rng, tmp_path):
     if command in ("simulate", "sweep"):
         if command == "sweep" or rng.random() < 0.5:
             add("--beta")
-        add("--steps", EDGE_STEPS)
-    if command != "monopole" and rng.random() < 0.5:
+        if "--steps" in stress:
+            argv.append(f"--steps={MAX_STEPS}")
+        else:
+            add("--steps", EDGE_STEPS)
+    if "--two-j" in stress:
+        argv.append(f"--two-j={MAX_TWO_J}")
+    elif command != "monopole" and rng.random() < 0.5:
         add("--two-j", EDGE_TWO_JS)
     if command == "simulate":
         for flag, ordinary, edges in (
@@ -126,7 +143,10 @@ def _draw(rng, tmp_path):
         for flag in ("--b1-min", "--b1-max", "--bz-min", "--bz-max"):
             add(flag, ordinary=ORDINARY["--range"])
         for flag in ("--nx", "--ny"):
-            add(flag, EDGE_SIZES, ORDINARY["--nx"])
+            if huge:
+                argv.append(f"{flag}={HUGE_GRID}")
+            else:
+                add(flag, EDGE_SIZES, ORDINARY["--nx"])
     if command == "monopole":
         add("--strength")
         if rng.random() < 0.5:
@@ -137,7 +157,7 @@ def _draw(rng, tmp_path):
     if edge():
         out = rng.choice([tmp_path / "absent" / "out.csv", tmp_path])
     argv.append(f"--out={out}")
-    return argv, out
+    return argv, out, huge
 
 
 def test_every_command_line_exits_with_a_documented_code(tmp_path, capsys):
@@ -147,7 +167,7 @@ def test_every_command_line_exits_with_a_documented_code(tmp_path, capsys):
     for _ in range(CASES):
         if time.monotonic() > deadline:
             break
-        argv, out = _draw(rng, tmp_path)
+        argv, out, huge = _draw(rng, tmp_path)
         shutil.rmtree(tmp_path / "run", ignore_errors=True)
         (tmp_path / "run").mkdir()
         with warnings.catch_warnings():
@@ -157,10 +177,21 @@ def test_every_command_line_exits_with_a_documented_code(tmp_path, capsys):
             except Exception as exc:  # a traceback, or a warning raised
                 pytest.fail(f"{' '.join(argv)!r} raised {exc!r}")
         err = capsys.readouterr().err
-        assert code in (0, 2, 3), (argv, code, err)
+        assert code in ((2,) if huge else (0, 2, 3)), (argv, code, err)
         assert "Traceback" not in err and "Warning" not in err, (argv, err)
         if code == 2:
             assert err.startswith(("geomphase: error: ", "usage: ")), (argv, err)
             assert out.is_dir() or not out.exists(), (argv, err)
         ran += 1
     assert ran >= 50, f"only {ran} cases ran in {BUDGET_S} s"
+
+
+def test_huge_draws_ask_for_more_than_the_work_budget():
+    # the smallest huge request, HUGE_GRID**2 sweep cells, stressed alone,
+    # at the fewest steps and lowest spin a draw can pair with it
+    cells = HUGE_GRID ** 2
+    assert cells <= 4 * HUGE_SIZE + 1 <= MAX_POINTS + 1
+    for stress in HUGE_STRESS:
+        steps = MAX_STEPS if "--steps" in stress else 1
+        two_j = MAX_TWO_J if "--two-j" in stress else 1
+        assert _work(cells, two_j, PropagationSettings(steps)) > MAX_WORK, stress

@@ -615,10 +615,7 @@ class TestBlocks:
         # the reference builds each chunk's steps in time order, reduces
         # each chunk's tree alone, on 1-D arrays and with strided pairs, to
         # one pair, and multiplies the running product by it in scalar
-        # arithmetic.  Past CHUNK_STEPS // 2 steps the chunks are stored in
-        # bit-reversed order: 16385 steps take no exact level, CHUNK_STEPS
-        # steps take all 8, and the 16960-step last chunk takes 6 where the
-        # full chunks take 8.
+        # arithmetic.
         params = [FieldParams(0.3, -0.5, 2.0), FieldParams(1.2, -0.0, 0.0),
                   FieldParams(-0.7, 0.9, 40.0)]
         size = min(n_steps, CHUNK_STEPS)
@@ -628,7 +625,8 @@ class TestBlocks:
         for rule in SAMPLING_RULES:
             settings = PropagationSettings(n_steps, rule)
             a, b = spinsys._both_senses(params, settings)
-            grid = np.exp(-1j * spinsys._step_times(settings, 0, size))
+            shift = 0.5 if rule == "midpoint" else 0.0
+            grid = np.exp(-1j * ((np.arange(size, dtype=float) + shift) * settings.dt))
             for j, p in enumerate(params):
                 c = 2.0 * p.beta
                 running = [(1.0 + 0.0j, 0.0j)] * 2
@@ -652,20 +650,6 @@ class TestBlocks:
                 for sense, expected in enumerate(running):
                     assert np.array([a[sense, j], b[sense, j]]).tobytes() == np.array(
                         expected).tobytes(), (rule, j, sense)
-
-    def test_stored_order_is_bit_reversed(self):
-        # position rev_p(r) q + j holds step 2^p j + r; p = 0 for odd m
-        for m, p in [(CHUNK_STEPS, 8), (16960, 6), (20000, 5), (16385, 0), (256, 1),
-                     (128, 0)]:
-            q = m >> p
-            r = np.arange(2 ** p)
-            rev = np.array([int(format(x, f"0{p}b")[::-1] or "0", 2) for x in r])
-            expected = np.empty(m, int)
-            expected[(rev[:, None] * q + np.arange(q)).ravel()] = (
-                (2 ** p) * np.arange(q)[None, :] + r[:, None]).ravel()
-            assert np.array_equal(spinsys._stored(np.arange(m)), expected), m
-        assert not spinsys._stored_order(CHUNK_STEPS // 2)
-        assert spinsys._stored_order(CHUNK_STEPS // 2 + 1)
 
     @pytest.mark.parametrize("n_steps", [
         20000, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 7,
@@ -739,18 +723,18 @@ class TestChunkLoop:
                 assert np.max(np.abs(U - ref)) < 1e-12, (rule, arm)
 
     @pytest.fixture
-    def stored_chunks(self, monkeypatch):
-        # chunks of 16 steps reduced per tree to tails of 2 entries: a full
-        # chunk is stored in bit-reversed order and takes 3 exact levels
+    def even_chunks(self, monkeypatch):
+        # chunks of 16 steps reduced per tree to tails of 2 entries
         yield from self.shrunk(monkeypatch, CHUNK_STEPS=16, TAIL=2)
 
     @pytest.mark.parametrize("two_j", [1, 3])
-    def test_stored_order_across_chunk_edges(self, stored_chunks, two_j):
-        # 40 steps make two full chunks of 16 and a partial one of 8, whose
-        # stored order takes 2 exact levels; the reference multiplies
-        # step_unitary factors one by one
-        assert spinsys._stored_order(40)
-        assert sorted(spinsys._step_grid(40, "left_endpoint")) == [8, 16]
+    def test_time_order_across_chunk_edges(self, even_chunks, two_j):
+        # 40 steps make two full chunks of 16 and a partial one of 8, which
+        # reads the first 8 entries of the one 16-step grid; the reference
+        # multiplies step_unitary factors one by one
+        grid = spinsys._step_grid(40, "left_endpoint")
+        assert isinstance(grid, np.ndarray) and grid.shape == (16,)
+        assert not grid.flags.writeable
         params = FieldParams(0.3, -0.5, 2.0, two_j=two_j)
         for rule in SAMPLING_RULES:
             settings = PropagationSettings(40, rule)
@@ -774,10 +758,10 @@ class TestChunkLoop:
         finishes = []
         ordered = spinsys._ordered
 
-        def counting(steps, levels, tmp, tail=1, stored=False):
+        def counting(steps, levels, tmp, tail=1):
             if tail == 1:
                 finishes.append(steps.shape[1:])
-            return ordered(steps, levels, tmp, tail, stored)
+            return ordered(steps, levels, tmp, tail)
 
         monkeypatch.setattr(spinsys, "_ordered", counting)
         params = FieldParams(0.3, -0.5, 2.0, two_j=two_j)
