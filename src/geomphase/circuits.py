@@ -30,8 +30,7 @@ SINGULAR_GUARD = 1e-6
 REFINE_TRIGGER = np.pi / 2.0
 REFINE_MAX_DEPTH = 8
 
-# most parameter points a circuit's samples, a refined trace or a sweep
-# grid may hold
+# most parameter points a trace (closing sample and midpoints included) or a sweep may read
 MAX_POINTS = 10 ** 6
 
 # most work, in steps (_work), that a trace with its refinement or a sweep
@@ -182,6 +181,17 @@ def _work(points, two_j, settings):
     return points * (settings.n_steps + 1000 + (two_j + 1) ** 3 // 4)
 
 
+def _over_budget(points, two_j, settings):
+    """Why reading that many points, at a two_j that FieldParams checked, passes
+    MAX_POINTS or MAX_WORK (_work), or None: the one check that admits a
+    trace, a refinement depth or a sweep, before its points are built."""
+    work = _work(points, two_j, settings)
+    if points > MAX_POINTS or work > MAX_WORK:
+        return (f"{points} points at {settings.n_steps} steps and two_j={two_j} ask for "
+                f"{work} steps, past MAX_POINTS = {MAX_POINTS} or MAX_WORK = {MAX_WORK}")
+    return None
+
+
 def _readings(points, beta, two_j, omega_sign, settings, branch):
     """Readings (c, alpha) at the rows (b1, bz) of points, as two arrays;
     alpha is NaN where phase.reading finds the arm states orthogonal.
@@ -196,18 +206,12 @@ def _readings(points, beta, two_j, omega_sign, settings, branch):
     spin-J lift, so each reading has the bits the point gets alone.  The
     propagated points are started and propagated a block at a time, each
     block with the points that read from it, and then every point is read
-    one by one.  Points whose _work exceeds MAX_WORK raise ValueError before
-    any is read.  A block's start states come first, so a bad branch raises
-    before anything is propagated, and a degenerate start before its block
-    is."""
+    one by one.  Callers admit the points by _over_budget and pass two_j as
+    FieldParams checked it.  A block's start states come first, so a bad
+    branch raises before anything is propagated, and a degenerate start
+    before its block is."""
     overlaps = np.empty(len(points), complex)
-    # the first point's FieldParams checks two_j before it sizes the work
-    first = spinsys.FieldParams(*points[0], beta, two_j, omega_sign)
-    work = _work(len(points), first.two_j, settings)
-    if work > MAX_WORK:
-        raise ValueError(f"{len(points)} points at {settings.n_steps} steps and two_j="
-                         f"{first.two_j} ask for {work} steps, above MAX_WORK = {MAX_WORK}")
-    size = spinsys.block_points(first.two_j, settings.n_steps)
+    size = spinsys.block_points(two_j, settings.n_steps)
     partner, mirrored = _partners(points)
     rank = np.cumsum(partner == np.arange(len(points))) - 1  # of each propagated point
     block_of = rank[partner] // size
@@ -244,23 +248,20 @@ def _refine(points, c, alpha, args):
     a time, between all adjacent points whose wrapped phase step exceeds
     REFINE_TRIGGER; a depth's midpoints are read at once, by _readings.
     Raises RefinementDepthExceeded past REFINE_MAX_DEPTH, and before reading
-    a depth that would take the points past MAX_POINTS or their _work past
-    MAX_WORK."""
+    a depth that _over_budget, the one budget check, finds would take the
+    trace with its midpoints past MAX_POINTS or MAX_WORK."""
     origin = np.arange(len(points))  # the sample each point descends from
     for depth in range(REFINE_MAX_DEPTH + 1):
         steps = np.abs(phase.wrap_angle(np.diff(alpha)))
         jumps = np.flatnonzero(steps > REFINE_TRIGGER)
         if not jumps.size:
             break
-        total = len(points) + jumps.size
-        work = _work(total, args[1], args[3])  # two_j, settings
-        if depth == REFINE_MAX_DEPTH or total > MAX_POINTS or work > MAX_WORK:
+        why = _over_budget(len(points) + jumps.size, args[1], args[3])  # two_j, settings
+        if why or depth == REFINE_MAX_DEPTH:
             (b0, z0), (b1, z1) = points[jumps[0]], points[jumps[0] + 1]
-            why = (f"wrapped phase still jumps after depth {REFINE_MAX_DEPTH} bisection"
-                   if depth == REFINE_MAX_DEPTH else
-                   f"depth {depth + 1} bisection would hold {total} points and ask for "
-                   f"{work} steps, past MAX_POINTS = {MAX_POINTS} or MAX_WORK = "
-                   f"{MAX_WORK}; the wrapped phase jumps")
+            why = (f"at depth {depth + 1} bisection, {why}; the wrapped phase jumps"
+                   if depth < REFINE_MAX_DEPTH else
+                   f"wrapped phase still jumps after depth {REFINE_MAX_DEPTH} bisection")
             raise RefinementDepthExceeded(
                 f"{why} between ({b0:.6g}, {z0:.6g}) and ({b1:.6g}, {z1:.6g})",
                 sample_index=int(origin[jumps[0]]))
@@ -285,22 +286,26 @@ def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings()
     consecutive pair whose wrapped-phase step exceeds pi/2 is bisected, one
     depth at a time (depth <= 8, MAX_POINTS points and MAX_WORK in all), and
     the midpoints are spliced in; where several refined points fail, the
-    depth order picks the one reported.
+    depth order picks the one reported.  _over_budget admits the samples
+    before any is built or guarded, once the first vertex's FieldParams has
+    checked beta and two_j.
     """
-    samples = sample_circuit(circuit)
-    gaps = [np.hypot(*(samples - s).T) for s in SINGULAR_POINTS]
+    first = spinsys.FieldParams(*circuit.vertices[0], beta, two_j, omega_sign)
+    why = _over_budget(circuit.points_per_segment * len(circuit.vertices) + 1,
+                       first.two_j, settings)
+    if why:
+        raise ValueError(why)
+    points = sample_circuit(circuit)
+    gaps = [np.hypot(*(points - s).T) for s in SINGULAR_POINTS]
     near = np.flatnonzero(np.min(gaps, axis=0) < SINGULAR_GUARD)
     if near.size:
         k = int(near[0])
-        b1, bz = samples[k]
+        b1, bz = points[k]
         raise OrthogonalStates(
-            f"sample {k} at (b1={b1:.6g}, bz={bz:.6g}) sits on a "
-            "singular point; the interference phase is undefined there",
-            sample_index=k,
-        )
+            f"sample {k} at (b1={b1:.6g}, bz={bz:.6g}) sits on a singular point; "
+            "the interference phase is undefined there", sample_index=k)
 
-    args = (beta, two_j, omega_sign, settings, branch)
-    points = samples
+    args = (beta, first.two_j, omega_sign, settings, branch)
     c, alpha = _readings(points, *args)
     _require_defined(points, alpha, at_samples=True)
     if refine:
@@ -362,24 +367,25 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
     gives the same values in reverse order and negated ends give negated
     values, bit for bit.  Grid cells where the two arm states come out
     orthogonal keep their modulus but record NaN for the phase instead of
-    aborting the sweep.
-    The grid holds at most MAX_POINTS cells and asks for at most MAX_WORK.
+    aborting the sweep.  _over_budget admits the nx * ny cells before the
+    grid is built, once the first cell's FieldParams has checked two_j.
     """
     nx, ny = grid
     if nx < 2 or ny < 2:
         raise ValueError("grid dimensions must be >= 2")
-    if nx * ny > MAX_POINTS:
-        raise ValueError(f"the grid's nx * ny = {nx} * {ny} cells exceed "
-                         f"MAX_POINTS = {MAX_POINTS}")
     for name, (lo, hi) in (("b1", b1_range), ("bz", bz_range)):
         # a non-finite end makes the span non-finite too
         if not math.isfinite(float(hi) - float(lo)):
             raise ValueError(f"the {name} range [{lo}, {hi}] needs finite ends "
                              "and a finite span")
+    first = spinsys.FieldParams(b1_range[0], bz_range[0], beta, two_j, omega_sign)
+    why = _over_budget(nx * ny, first.two_j, settings)
+    if why:
+        raise ValueError(why)
     b1s = _spaced(b1_range[0], b1_range[1], np.arange(nx), nx - 1)
     bzs = _spaced(bz_range[0], bz_range[1], np.arange(ny), ny - 1)
     # cells row-major in bz: b1 varies fastest
     cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
-    c, alpha = _readings(cells, beta, two_j, omega_sign, settings, branch)
+    c, alpha = _readings(cells, beta, first.two_j, omega_sign, settings, branch)
     shape = (ny, nx)
     return SweepResult(b1s, bzs, c.reshape(shape), alpha.reshape(shape))

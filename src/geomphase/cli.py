@@ -283,18 +283,13 @@ def _run_sweep(config):
         ]
         text = _table("csv", SWEEP_COLUMNS, rows)
     else:
-        text = json.dumps(
-            {
-                "b1_values": list(result.b1_values),
-                "bz_values": list(result.bz_values),
-                "modulus_c": result.modulus_c.tolist(),
-                "alpha_wrapped": [
-                    [None if math.isnan(a) else a for a in row]
-                    for row in result.alpha_wrapped
-                ],
-            },
-            indent=2,
-        ) + "\n"
+        text = json.dumps({
+            "b1_values": list(result.b1_values),
+            "bz_values": list(result.bz_values),
+            "modulus_c": result.modulus_c.tolist(),
+            "alpha_wrapped": [[None if math.isnan(a) else a for a in row]
+                              for row in result.alpha_wrapped],
+        }, indent=2) + "\n"
     _write_text(config.out, text)
     undefined = int(np.isnan(result.alpha_wrapped).sum())
     print(

@@ -265,16 +265,14 @@ def monopole_transport_trace(circuit_samples, scene):
     # or across its own step where neither end is pierced
     branch = np.round((unwrapped - np.asarray(omegas)) / FOUR_PI).astype(int)
     steps = np.flatnonzero(np.diff(branch))
-    jumps = (-g * FOUR_PI * np.diff(branch)[steps])[:, None]
-    at = np.where(pierced[steps], steps, steps + 1)
-    lo = np.where(pierced[at], first[at], steps)[:, None]
-    hi = np.where(pierced[at], last[at], steps + 1)[:, None]
-    # transition t adds 0 before its run, np.linspace(0, jump, end + 1)[q] at
-    # ramp position q, and jump after it; the ramp rises after the run's first
-    # sample, except from sample 0, from which the trace is measured
-    rise = (lo > 0).astype(int)
-    q, end = k - lo + rise, hi - lo + rise
-    rows = np.where(q >= end, jumps, np.maximum(q, 0) * (jumps / np.maximum(end, 1)))
-    rows[:, 0] = 0.0
-    # the threadings add up in order, from zero
-    return phases + np.add.accumulate(np.vstack((np.zeros(len(k)), rows)))[-1]
+    total = np.zeros(len(k))  # the threadings add up in order, one ramp at a time
+    for step, jump in zip(steps, -g * FOUR_PI * np.diff(branch)[steps]):
+        at = step if pierced[step] else step + 1
+        lo, hi = (first[at], last[at]) if pierced[at] else (step, step + 1)
+        # the ramp adds 0 before its run, np.linspace(0, jump, end + 1)[q] at
+        # ramp position q, and jump after it; it rises after the run's first
+        # sample, except from sample 0, from which the trace is measured
+        q, end = k - lo + (lo > 0), hi - lo + (lo > 0)
+        ramp = np.where(q >= end, jump, np.maximum(q, 0) * (jump / max(end, 1)))
+        total[1:] += ramp[1:]
+    return phases + total

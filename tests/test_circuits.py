@@ -101,6 +101,10 @@ class TestCircuitValidation:
         for pps in (MAX_POINTS // 4 + 1, 10 ** 8, 10 ** 400):
             with pytest.raises(ValueError, match="MAX_POINTS"):
                 Circuit(square, pps)
+        # a trace reads the closing repeat too: one point past MAX_POINTS
+        with pytest.raises(ValueError, match=f"{MAX_POINTS + 1} points at 1 steps"):
+            trace_circuit(Circuit(square, MAX_POINTS // 4), 1.0,
+                          settings=PropagationSettings(1))
 
     def test_non_finite_vertex(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -440,10 +444,12 @@ class TestTraceCircuit:
         assert sum(calls) < 42
 
     def test_work_budget_checked_before_any_point_is_read(self, monkeypatch):
-        # 21 samples, or 21 sweep cells, one step of work over the bound
+        # 21 samples, or 21 sweep cells, one step of work over the bound:
+        # rejected before the circuit is sampled
         def unreachable(*args):
-            raise AssertionError("propagated past the work budget")
+            raise AssertionError("sampled or propagated past the work budget")
 
+        monkeypatch.setattr(circuits, "sample_circuit", unreachable)
         monkeypatch.setattr(spinsys, "initial_states", unreachable)
         monkeypatch.setattr(spinsys, "propagate_block", unreachable)
         circuit = Circuit(((0.5, 0.01), (1.5, 0.01), (1.5, -0.01), (0.5, -0.01)), 5)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomphase import MonopoleScene, PhaseTrace, PancharatnamReading, spinsys, unwrap_append
+from geomphase import (MonopoleScene, PhaseTrace, PancharatnamReading, circuits, spinsys,
+                       unwrap_append)
 from geomphase.circuits import Circuit, preset_circuit
 from geomphase.cli import (
     circuit_from_json,
@@ -455,14 +456,28 @@ class TestRun:
         # each factor is in range; together they would run for weeks, or
         # for about 20 minutes at 20000 steps a cell
         def unreachable(*args):
-            raise AssertionError("propagated past the work budget")
+            raise AssertionError("sampled or propagated past the work budget")
 
+        monkeypatch.setattr(circuits, "sample_circuit", unreachable)
         monkeypatch.setattr(spinsys, "propagate_block", unreachable)
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("geomphase: error: ") and "MAX_WORK" in err
+        assert not out.exists()
+
+    def test_over_budget_trace_on_a_singular_point_exits_2(self, tmp_path, capsys):
+        # sample 125000 of the first leg sits on (1, 0), but the 750001
+        # samples at 10**8 steps are an input error, found before sampling
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps({"vertices": [[0.5, 0.0], [1.5, 0.0], [1.0, 1.0]],
+                                    "points_per_segment": 250000}))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--circuit", str(path), "--beta", "20",
+                     "--steps", "100000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("geomphase: error: 750001 points") and "MAX_WORK" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds", [

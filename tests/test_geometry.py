@@ -1,6 +1,7 @@
 """Solid angles, the adiabatic oracle and monopole transport."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,26 @@ class TestMonopoleTransport:
             phases = monopole_transport_trace(rect_points(verts), scene)
             assert phases[0] == 0.0, verts
             assert abs(phases[-1] - phases[0]) < 1e-6, verts
+
+    def test_thick_string_memory_grows_with_samples_not_threadings(self):
+        # a zig-zag of 100 vertices across bz = 0 under |b1| < 1 threads the
+        # string about 100 times; (threadings, samples) arrays of ramps grew
+        # the peak by 3.3 kB a sample, one running sum by about 0.1 kB
+        verts = [(-0.8 + 1.6 * i / 99, 0.3 - 0.6 * (i % 2)) for i in range(100)]
+        verts += [(0.9, 2.0), (-0.9, 2.0)]
+        scene = MonopoleScene(0.5, string_thickness=0.1)
+        peaks = {}
+        for pps in (2, 2, 6):  # the first run warms the solid angle's caches
+            points = sample_circuit(Circuit(tuple(verts), pps))
+            tracemalloc.start()
+            try:
+                monopole_transport_trace(points, scene)
+                peaks[len(points)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (n0, peak0), (n1, peak1) = peaks.items()
+        assert (n0, n1) == (205, 613)
+        assert peak1 - peak0 < 400 * (n1 - n0)
 
     def test_profile_tracks_solid_angle_before_piercing(self):
         # away from the string the transported phase is pure geometry
