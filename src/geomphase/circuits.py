@@ -287,12 +287,13 @@ def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings()
     depth at a time (depth <= 8, MAX_POINTS points and MAX_WORK in all), and
     the midpoints are spliced in; where several refined points fail, the
     depth order picks the one reported.  _over_budget admits the samples
-    before any is built or guarded, once the first vertex's FieldParams has
-    checked beta and two_j.
+    before any is built or guarded, once FieldParams has checked beta and
+    two_j at the vertex of largest |b1| + |bz|, which bounds every point.
     """
-    first = spinsys.FieldParams(*circuit.vertices[0], beta, two_j, omega_sign)
+    widest = spinsys.FieldParams(*max(circuit.vertices, key=lambda v: abs(v[0]) + abs(v[1])),
+                                 beta, two_j, omega_sign)
     why = _over_budget(circuit.points_per_segment * len(circuit.vertices) + 1,
-                       first.two_j, settings)
+                       widest.two_j, settings)
     if why:
         raise ValueError(why)
     points = sample_circuit(circuit)
@@ -305,7 +306,7 @@ def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings()
             f"sample {k} at (b1={b1:.6g}, bz={bz:.6g}) sits on a singular point; "
             "the interference phase is undefined there", sample_index=k)
 
-    args = (beta, first.two_j, omega_sign, settings, branch)
+    args = (beta, widest.two_j, omega_sign, settings, branch)
     c, alpha = _readings(points, *args)
     _require_defined(points, alpha, at_samples=True)
     if refine:
@@ -368,7 +369,8 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
     values, bit for bit.  Grid cells where the two arm states come out
     orthogonal keep their modulus but record NaN for the phase instead of
     aborting the sweep.  _over_budget admits the nx * ny cells before the
-    grid is built, once the first cell's FieldParams has checked two_j.
+    grid is built, once FieldParams has checked beta and two_j at the
+    corner farthest from both axes, which bounds every cell.
     """
     nx, ny = grid
     if nx < 2 or ny < 2:
@@ -378,14 +380,15 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
         if not math.isfinite(float(hi) - float(lo)):
             raise ValueError(f"the {name} range [{lo}, {hi}] needs finite ends "
                              "and a finite span")
-    first = spinsys.FieldParams(b1_range[0], bz_range[0], beta, two_j, omega_sign)
-    why = _over_budget(nx * ny, first.two_j, settings)
+    widest = spinsys.FieldParams(max(b1_range, key=abs), max(bz_range, key=abs), beta,
+                                 two_j, omega_sign)
+    why = _over_budget(nx * ny, widest.two_j, settings)
     if why:
         raise ValueError(why)
     b1s = _spaced(b1_range[0], b1_range[1], np.arange(nx), nx - 1)
     bzs = _spaced(bz_range[0], bz_range[1], np.arange(ny), ny - 1)
     # cells row-major in bz: b1 varies fastest
     cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
-    c, alpha = _readings(cells, beta, first.two_j, omega_sign, settings, branch)
+    c, alpha = _readings(cells, beta, widest.two_j, omega_sign, settings, branch)
     shape = (ny, nx)
     return SweepResult(b1s, bzs, c.reshape(shape), alpha.reshape(shape))

@@ -12,6 +12,7 @@ with a shortest-branch rule of period 4*pi, which keeps the series
 continuous while the loop is dragged past the degeneracy.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -85,14 +86,10 @@ class MonopoleScene:
             raise ValueError("string_thickness must be >= 0")
 
 
-_TRIG_CACHE = {}
-
-
+@functools.lru_cache(maxsize=2)
 def _unit_circle(n):
-    if n not in _TRIG_CACHE:
-        theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        _TRIG_CACHE[n] = (np.cos(theta), np.sin(theta))
-    return _TRIG_CACHE[n]
+    theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    return np.cos(theta), np.sin(theta)
 
 
 def _fan_sum(u):

@@ -33,18 +33,19 @@ CHUNK_STEPS/2 steps) as one (2, points, steps) array.  The two arms see B_y
 of opposite sign, so one arm's steps are (a, b) and the other's (a, -b*):
 propagate_block builds each chunk's steps once, reduces them, flips b in
 place and reduces them again.
-Each tree is reduced on its own only until at most TAIL entries are left,
-past which its levels are too short to keep numpy busy; the tails go into
-one tail buffer of CHUNK_STEPS entries, laid out [pair, step, tree], and
-one _ordered call finishes every tree of equal tail length.  The chunk
-products fold into each point's running products in chunk order when the
-buffer is full, before the short last chunk of a long product, and at the
-end.  block_points(two_j, n_steps) is sized by that buffer and by the
-block's spin-J matrices, which take at most CHUNK_STEPS elements: about 100
-points at 20000 steps.  Steps, reduction levels and tails are written into
-buffers kept per block shape and reused (the module is single-threaded), so
-the chunk loop allocates no array of the chunk's size, and memory does not
-grow with n_steps.
+_ordered, the one place the halving rule lives, reduces each tree alone
+until at most TAIL entries are left, past which its levels are too short to
+keep numpy busy; the tails go into one tail buffer of min(n_steps, TAIL)
+rows and CHUNK_STEPS entries, laid out [pair, step, tree], and one _ordered
+call finishes the trees of every chunk it holds.  The chunk products fold
+into each point's running products in chunk order when the buffer is full,
+before the short last chunk of a long product, and at the end.
+block_points(two_j, n_steps) is sized by that buffer and by the block's
+spin-J matrices, which take at most CHUNK_STEPS elements: 64 points from 128
+steps up.  Steps, levels and tails are written into buffers kept per block
+shape and reused (the module is single-threaded), so the chunk loop
+allocates no array of the chunk's size, and memory does not grow with
+n_steps.
 The final pairs are the 2x2 propagators; their spin-J lifts, which equal the
 dimension-N step products exactly, come from one stacked eigh and are kept
 for total_unitary, which reads each point's arms from them and propagates a
@@ -404,43 +405,30 @@ def _step_grid(n_steps, sampling_rule):
     return grid
 
 
-def _tail_length(m):
-    """Entries left of a tree of m steps once its own levels are reduced:
-    m halved, rounded up, until at most TAIL are left."""
-    while m > TAIL:
-        m -= m // 2
-    return m
-
-
-def _tail_rows(n_steps):
-    """Rows of the tail buffer: the tail length of a point's one chunk, or
-    TAIL when a point takes several."""
-    return _tail_length(n_steps) if n_steps <= CHUNK_STEPS else TAIL
-
-
 def block_points(two_j, n_steps):
     """Points propagated in one block: as many as the tail buffer holds, at
     most CHUNK_STEPS // (two_j + 1)**2 so that the block's spin-J matrices
     take no more elements than a chunk takes steps (twice that with its
-    z-mirrors), and at least one.  The tail buffer takes CHUNK_STEPS
-    complex entries: the tails of the (a, b) of both senses of one chunk of
-    each point."""
-    return max(1, min(CHUNK_STEPS // (4 * _tail_rows(n_steps)),
+    z-mirrors), and at least one.  The tail buffer's CHUNK_STEPS complex
+    entries, in min(n_steps, TAIL) rows, take the tails of the (a, b) of
+    both senses of one chunk of each point: 64 points from 128 steps up."""
+    return max(1, min(CHUNK_STEPS // (4 * min(n_steps, TAIL)),
                       CHUNK_STEPS // (two_j + 1) ** 2))
 
 
 @functools.lru_cache(maxsize=1)
-def _workspace(points, size, tail, trees):
+def _workspace(points, size, rows):
     """Buffers for steps built points at a time in chunks of at most size
-    steps and for trees tails of at most tail entries, reused by every block
-    (the module is single-threaded): the step pairs (a, b); the two
-    reduction levels and the pair product's scratch; four float arrays and
-    a bool array for _ck_steps; the tail buffer, and its own two levels and
-    scratch.  The float arrays and the tail's levels overlay the reduction
-    buffers, which are idle while the steps are built and while the tails
-    are finished.  The step buffers are laid out [point, step] in memory,
-    the tail buffers [pair, step, tree]."""
-    half, t_half = (size + 1) // 2, (tail + 1) // 2
+    steps and for as many tails of at most rows entries as CHUNK_STEPS
+    entries hold (two at least), reused by every block (the module is
+    single-threaded): the step pairs (a, b); the two reduction levels and
+    the pair product's scratch; four float arrays and a bool array for
+    _ck_steps; the tail buffer, its two levels and scratch.  The float
+    arrays and the tail's levels overlay the reduction buffers, idle while
+    the steps are built and while the tails are finished.  The step buffers
+    are laid out [point, step], the tail buffers [pair, step, tree]."""
+    trees = max(2, CHUNK_STEPS // (2 * rows))
+    half, t_half = (size + 1) // 2, (rows + 1) // 2
     quarter, t_quarter = (half + 1) // 2, (t_half + 1) // 2
     # 3 half + 2 quarter >= 2 size entries a point: room for the float arrays
     z = np.empty(max(points * (3 * half + 2 * quarter),
@@ -456,7 +444,7 @@ def _workspace(points, size, tail, trees):
             z[2 * points * (half + quarter):][:points * half].reshape(points, half).T,
             z.view(float)[:4 * points * size].reshape(4, points, size),
             np.empty((points, size), bool),
-            np.empty((2, tail, trees), complex),
+            np.empty((2, rows, trees), complex),
             t_levels,
             z[2 * trees * (t_half + t_quarter):][:trees * t_half].reshape(t_half, trees))
 
@@ -469,15 +457,15 @@ def _both_senses(params, settings):
 
     Each chunk of each point and sense is one tree, built in time order
     from the step grid, or its prefix for a short last chunk, reduced alone
-    to at most TAIL entries and finished in the tail buffer, one column per
-    tree, with every tree of its tail length.  Chunk products fold into the
-    running products in chunk order (module docstring)."""
+    by _ordered to at most TAIL entries, as many as the view it returns
+    holds, and finished in the tail buffer, one column per tree, with the
+    trees of the chunks held with it.  Chunk products fold into the running
+    products in chunk order (module docstring)."""
     n, k = settings.n_steps, len(params)
     size = min(n, CHUNK_STEPS)
     batch = min(block_points(params[0].two_j, n), max(1, CHUNK_STEPS // n))
-    rows = _tail_rows(n)
     steps, levels, tmp, real, mask, tail, t_levels, t_tmp = _workspace(
-        batch, size, rows, max(2, CHUNK_STEPS // (2 * rows)))
+        batch, size, min(n, TAIL))
     grid = _step_grid(n, settings.sampling_rule)
     fields = np.array([(p.b1, p.bz, p.beta) for p in params])
     cols = 2 * k  # one chunk's trees, [sense, point]
@@ -496,10 +484,9 @@ def _both_senses(params, settings):
     chunks, held = 0, None  # chunks in the tail buffer, and their tail length
     for start in range(0, n, size):
         m = min(size, n - start)
-        length = _tail_length(m)
-        if chunks and (length != held or (chunks + 1) * cols > tail.shape[2]):
+        # only a long product's short last chunk leaves a shorter tail
+        if chunks and (m < size or (chunks + 1) * cols > tail.shape[2]):
             running, chunks = fold(running, chunks, held), 0
-        held = length
         e, rotation = grid[:m], np.exp(-1j * start * settings.dt)
         for first in range(0, k, batch):
             points = min(batch, k - first)
@@ -526,8 +513,9 @@ def _both_senses(params, settings):
                 if sense:  # (a, b) -> (a, -b*)
                     np.negative(w.real, out=w.real)
                 col = chunks * cols + sense * k + first
-                np.copyto(tail[:, :length, col if points == 1 else slice(col, col + points)],
-                          _ordered(block, block_levels, tmp[:, pts], TAIL))
+                left = _ordered(block, block_levels, tmp[:, pts], TAIL)
+                held = left.shape[1]
+                tail[:, :held, col if points == 1 else slice(col, col + points)] = left
         chunks += 1
     return [x.reshape(2, k) for x in fold(running, chunks, held)]
 

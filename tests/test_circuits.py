@@ -766,11 +766,27 @@ class TestBlockReadings:
         with pytest.raises(ValueError, match="branch"):
             trace_circuit(circuit, beta, branch=2)
         assert blocks == []
-        # cell 220 of 441 sits at (-1, 0), in the third block of 103 points
-        assert spinsys.block_points(1, 20000) == 103
+        # cell 220 of 441 sits at (-1, 0), the 221st of the 231 propagated
+        # cells (the rest are z-mirrors), in the fourth block of 64 points
+        assert spinsys.block_points(1, 20000) == 64
         with pytest.raises(DegenerateStart, match="b1=-1.0, bz=0.0"):
             sweep_plane((-1.5, -0.5), (-0.1, 0.1), (21, 21), 20.0)
-        assert blocks == [103, 103]
+        assert blocks == [64, 64, 64]
+
+    def test_wide_points_rejected_before_propagation(self, monkeypatch):
+        # at beta = 1e152, (2*beta*(|b1|+1+|bz|))**2 overflows past |b1| +
+        # |bz| of about 66: the fourth vertex and the far corner pass it,
+        # the first vertex and corner do not
+        blocks = []
+        monkeypatch.setattr(spinsys, "propagate_block", lambda *args: blocks.append(args))
+        settings = PropagationSettings(2000)
+        circuit = Circuit(((0.5, 1), (1.5, 1), (1.5, 0.5), (1000, 0.5), (1000, -1), (0.5, -1)))
+        with pytest.raises(ValueError, match="too large"):
+            trace_circuit(circuit, 1e152, settings=settings)
+        assert blocks == []
+        with pytest.raises(ValueError, match="too large"):
+            sweep_plane((0.5, 1.0), (0.0, 1000.0), (3, 3000), 1e152, settings=settings)
+        assert blocks == []
 
     def test_block_memory_bounded_in_points_and_spin(self):
         # 10000 points of 2 steps at spin-4: blocks of at most 404 points

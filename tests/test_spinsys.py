@@ -483,10 +483,10 @@ class TestQuaternionKernel:
             tracemalloc.stop()
 
     def test_memory_of_a_full_block(self):
-        # 103 points of 20000 steps: the step and reduction buffers of one
+        # 64 points of 20000 steps: the step and reduction buffers of one
         # point (1.3 MB), the 0.5 MB tail buffer, the step grid and the
         # block's lifts peak at 2.6 MB; the block's steps held at once
-        # would take 66 MB
+        # would take 41 MB
         settings = PropagationSettings(20000)
         most = spinsys.block_points(1, settings.n_steps)
         block = [FieldParams(0.5 + 0.01 * j, 0.01, 2000.0) for j in range(most)]
@@ -595,11 +595,13 @@ class TestBlocks:
     def test_blocks_are_bounded_and_share_a_spin(self):
         settings = PropagationSettings(100)
         most = spinsys.block_points(1, 100)
-        # by the tail buffer: (a, b) of both senses, 100 entries each
+        # by the tail buffer: (a, b) of both senses, min(n_steps, TAIL)
+        # entries each
         assert most == CHUNK_STEPS // 400
-        assert spinsys.block_points(1, 20000) == CHUNK_STEPS // (4 * 79)
-        assert spinsys.block_points(1, MAX_STEPS) == CHUNK_STEPS // (4 * spinsys.TAIL)
-        assert spinsys.block_points(8, 2) == CHUNK_STEPS // 81  # by matrix elements
+        assert spinsys.block_points(1, 2) == CHUNK_STEPS // 8 == 4096
+        for n_steps in (128, 129, 20000, MAX_STEPS):
+            assert spinsys.block_points(1, n_steps) == CHUNK_STEPS // (4 * spinsys.TAIL) == 64
+        assert spinsys.block_points(8, 2) == CHUNK_STEPS // 81 == 404  # by matrix elements
         with pytest.raises(ValueError, match="at most"):
             spinsys.propagate_block([FieldParams(0.5, 0.1, 1.0)] * (most + 1), settings)
         mixed = [FieldParams(0.5, 0.1, 1.0), FieldParams(0.5, 0.1, 1.0, two_j=3)]
@@ -652,12 +654,14 @@ class TestBlocks:
                         expected).tobytes(), (rule, j, sense)
 
     @pytest.mark.parametrize("n_steps", [
-        20000, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 7,
+        1, 127, 128, 129, 500, 20000, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 7,
     ])
     @pytest.mark.parametrize("two_j", [1, 3])
     def test_pair_alike_alone_and_in_full_and_partial_blocks(self, two_j, n_steps):
         # a full block shares its tail buffer among all its points; the
-        # partial last block of a run leaves part of it unused
+        # partial last block of a run leaves part of it unused.  Tails of
+        # fewer than TAIL entries (1 and 127 steps, and 65 at 129) leave
+        # rows of it unused too
         most = spinsys.block_points(two_j, n_steps)
         assert most > 2
         rng = np.random.default_rng(n_steps + two_j)
