@@ -33,13 +33,18 @@ REFINE_MAX_DEPTH = 8
 # most parameter points a trace (closing sample and midpoints included) or a sweep may read
 MAX_POINTS = 10 ** 6
 
-# most work, in steps (_work), that a trace with its refinement or a sweep
-# may ask for.  On a shared 2-core x86 host a step took 40-50 ns, a spin-1/2
-# sweep cell 27 us more and a spin-50 cell 6.5 ms: about 100 s of work, not
-# counting a trace's fan-sum oracle (0.2 ms a sample).  It is 169 times the
-# largest test run (10000 points at 2 steps, spin 4) and 216 times the
-# largest spec run (the 21x21 acceptance sweep at 20000 steps).
+# most work, in steps (_work), that a trace with its refinement, a sweep or
+# the oracle or monopole series of a circuit may ask for.  On a shared 2-core
+# x86 host a step took 40-50 ns, a spin-1/2 sweep cell 27 us more and a
+# spin-50 cell 6.5 ms: about 100 s of work, not counting a trace's fan-sum
+# oracle.  It is 169 times the largest test run (10000 points at 2 steps,
+# spin 4) and 216 times the largest spec run (the 21x21 acceptance sweep at
+# 20000 steps).
 MAX_WORK = 2 * 10 ** 9
+
+# work, in steps, of one sample's fan-sum solid angle, the oracle's and the
+# monopole's: 145-234 us a sample on that host
+ORACLE_STEPS = 5000
 
 PRESET_NAMES = ("ABCDA", "EFGHE", "SPQRS")
 _PRESET_BETAS = {"ABCDA": 2000.0, "EFGHE": 200.0, "SPQRS": 20.0}
@@ -177,19 +182,33 @@ def _partners(points):
 def _work(points, two_j, settings):
     """Work, in steps, of reading the given number of points: each costs its
     n_steps, 1000 for its start state and reading, and (two_j + 1)**3 // 4
-    for its spin-J lift."""
+    for its spin-J lift; without settings, ORACLE_STEPS for its solid angle."""
+    if settings is None:
+        return points * ORACLE_STEPS
     return points * (settings.n_steps + 1000 + (two_j + 1) ** 3 // 4)
 
 
 def _over_budget(points, two_j, settings):
-    """Why reading that many points, at a two_j that FieldParams checked, passes
-    MAX_POINTS or MAX_WORK (_work), or None: the one check that admits a
-    trace, a refinement depth or a sweep, before its points are built."""
+    """Why reading that many points, at a two_j that FieldParams checked, or
+    (settings None) taking their solid angles, passes MAX_POINTS or MAX_WORK
+    (_work), or None: the one check that admits a trace, a refinement depth,
+    a sweep or an oracle or monopole series, before its points are built."""
     work = _work(points, two_j, settings)
     if points > MAX_POINTS or work > MAX_WORK:
-        return (f"{points} points at {settings.n_steps} steps and two_j={two_j} ask for "
-                f"{work} steps, past MAX_POINTS = {MAX_POINTS} or MAX_WORK = {MAX_WORK}")
+        what = (f"{points} solid-angle samples" if settings is None
+                else f"{points} points at {settings.n_steps} steps and two_j={two_j}")
+        return (f"{what} ask for {work} steps, "
+                f"past MAX_POINTS = {MAX_POINTS} or MAX_WORK = {MAX_WORK}")
     return None
+
+
+def solid_angle_samples(circuit):
+    """sample_circuit(circuit), once _over_budget admits a fan-sum solid
+    angle at each sample, as the oracle and monopole series take."""
+    why = _over_budget(circuit.points_per_segment * len(circuit.vertices) + 1, None, None)
+    if why:
+        raise ValueError(why)
+    return sample_circuit(circuit)
 
 
 def _readings(points, beta, two_j, omega_sign, settings, branch):

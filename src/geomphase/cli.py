@@ -12,10 +12,11 @@ circuit, beta and monopole scene resolved onto it and its runner in `run`.
 
 Output files are byte-deterministic for a given configuration: CSV floats
 are written in scientific notation with 17 significant digits and JSON uses
-a fixed layout.  Exit codes: 0 success, 2 invalid input (numbers too large
-for a float and allocations too large to make included), 3 numerical failure
-(orthogonal states at a sample, non-quantized winding, refinement depth
-exceeded, degenerate geometry).
+a fixed layout.  Sample tables are written from their columns, a block of
+rows at a time; the sweep's nested JSON grid is still built whole.  Exit codes:
+0 success, 2 invalid input (numbers too large for a float and allocations too
+large to make included), 3 numerical failure (orthogonal states at a sample,
+non-quantized winding, refinement depth exceeded, degenerate geometry).
 """
 
 import argparse
@@ -24,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import repeat
 
 import numpy as np
 
@@ -35,6 +37,7 @@ TRACE_COLUMNS = (
 )
 SWEEP_COLUMNS = ("i", "j", "b1", "bz", "c", "alpha_wrapped")
 MONOPOLE_COLUMNS = ("index", "b1", "bz", "phase_unwrapped")
+BLOCK_ROWS = 4096  # rows that _write_table formats at a time
 
 
 # Exit code 2: invalid input, an allocation too large to make, a failed write.
@@ -182,37 +185,33 @@ def _config_from_namespace(ns):
     return ns
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def _cell(x):
     if isinstance(x, int):
         return str(x)
     return "" if math.isnan(x) else f"{x:.16e}"
 
 
-def _table(fmt, columns, rows, **head):
-    """One row per sample, as CSV or as JSON {**head, "samples": [...]}.
-
-    CSV floats carry 17 significant digits and NaN leaves an empty field;
-    JSON samples omit NaN values.
-    """
+def _write_table(path, fmt, names, columns, **head):
+    """Write one row per sample, as CSV or as JSON {**head, "samples": [...]}, from
+    columns in the order of names (None: undefined throughout), BLOCK_ROWS rows at a
+    time.  CSV floats carry 17 significant digits and NaN leaves an empty field;
+    JSON leaves out NaN and writes finite values by repr, as json does."""
+    rows = len(next(column for column in columns if column is not None))
     if fmt == "json":
-        samples = [
-            {name: x for name, x in zip(columns, row) if not math.isnan(x)}
-            for row in rows
-        ]
-        return json.dumps({**head, "samples": samples}, indent=2) + "\n"
-    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _trace_table(trace, fmt):
-    meta = None if trace.metadata is None else asdict(trace.metadata)
-    # the sample fields are in TRACE_COLUMNS order
-    return _table(fmt, TRACE_COLUMNS, trace.samples.tolist(), metadata=meta)
+        before, after = json.dumps({**head, "samples": None}, indent=2).rsplit("null", 1)
+        first, sep, last = before + "[", ",\n", ("\n  ]" if rows else "]") + after + "\n"
+        line = lambda row: "    {\n" + ",\n".join(
+            f'      "{name}": {x!r}' for name, x in zip(names, row) if x == x) + "\n    }"
+    else:
+        first, sep, last = ",".join(names), "\n", "\n"
+        line = lambda row: ",".join(map(_cell, row))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(first)
+        for start in range(0, rows, BLOCK_ROWS):
+            block = [repeat(math.nan) if column is None else column[start:start + BLOCK_ROWS].tolist()
+                     for column in columns]
+            fh.write((sep if start else "\n") + sep.join(map(line, zip(*block))))
+        fh.write(last)
 
 
 def _summary(winding, delta, max_dev=0.0):
@@ -242,7 +241,10 @@ def _run_simulate(config):
         config.circuit, config.beta, two_j=config.two_j, settings=settings,
         refine=config.refine, omega_sign=config.omega_sign, branch=config.branch,
     )
-    _write_text(config.out, _trace_table(trace, config.fmt))
+    # the sample fields are in TRACE_COLUMNS order
+    _write_table(config.out, config.fmt, TRACE_COLUMNS,
+                 [trace.samples[name] for name in phase.SAMPLE_FIELDS],
+                 metadata=asdict(trace.metadata))
     delta = trace.delta_alpha()
     max_dev = circuits.max_oracle_deviation(trace)
     w = phase.winding(trace)  # may raise NonQuantizedWinding -> exit 3
@@ -251,17 +253,17 @@ def _run_simulate(config):
 
 def _write_series(config, columns, points, series, **head):
     """Write one row per circuit sample in points, with series in the last
-    of columns and NaN in those between bz and it, then print the summary
+    of columns and those between bz and it undefined, then print the summary
     of the series' winding (NonQuantizedWinding -> exit 3)."""
-    missing = np.full((len(columns) - 4, len(points)), np.nan)
-    rows = zip(range(len(points)), *points.T, *missing, series)
-    _write_text(config.out, _table(config.fmt, columns, rows, **head))
+    _write_table(config.out, config.fmt, columns,
+                 [np.arange(len(points)), *points.T, *[None] * (len(columns) - 4), series],
+                 **head)
     delta = float(series[-1] - series[0])
     print(_summary(phase.winding_of_delta(delta), delta))
 
 
 def _run_oracle(config):
-    points = circuits.sample_circuit(config.circuit)
+    points = circuits.solid_angle_samples(config.circuit)
     oracle = geometry.oracle_phase_trace(points, config.two_j)
     _write_series(config, TRACE_COLUMNS, points, oracle, two_j=config.two_j)
 
@@ -275,22 +277,20 @@ def _run_sweep(config):
         two_j=config.two_j,
         settings=spinsys.PropagationSettings(config.n_steps),
     )
-    if config.fmt == "csv":
-        rows = [
-            (i, j, b1, bz, result.modulus_c[i, j], result.alpha_wrapped[i, j])
-            for i, bz in enumerate(result.bz_values)
-            for j, b1 in enumerate(result.b1_values)
-        ]
-        text = _table("csv", SWEEP_COLUMNS, rows)
+    if config.fmt == "csv":  # cells row-major in bz: i indexes bz_values, j b1_values
+        grids = (*np.indices(result.modulus_c.shape),
+                 *np.meshgrid(result.b1_values, result.bz_values),
+                 result.modulus_c, result.alpha_wrapped)
+        _write_table(config.out, "csv", SWEEP_COLUMNS, [grid.ravel() for grid in grids])
     else:
-        text = json.dumps({
-            "b1_values": list(result.b1_values),
-            "bz_values": list(result.bz_values),
-            "modulus_c": result.modulus_c.tolist(),
-            "alpha_wrapped": [[None if math.isnan(a) else a for a in row]
-                              for row in result.alpha_wrapped],
-        }, indent=2) + "\n"
-    _write_text(config.out, text)
+        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(json.dumps({
+                "b1_values": list(result.b1_values),
+                "bz_values": list(result.bz_values),
+                "modulus_c": result.modulus_c.tolist(),
+                "alpha_wrapped": [[None if math.isnan(a) else a for a in row]
+                                  for row in result.alpha_wrapped],
+            }, indent=2) + "\n")
     undefined = int(np.isnan(result.alpha_wrapped).sum())
     print(
         f"min_c={result.modulus_c.min():.6f} max_c={result.modulus_c.max():.6f} "
@@ -300,7 +300,7 @@ def _run_sweep(config):
 
 def _run_monopole(config):
     scene = config.scene
-    points = circuits.sample_circuit(config.circuit)
+    points = circuits.solid_angle_samples(config.circuit)
     phases = geometry.monopole_transport_trace(points, scene)
     _write_series(config, MONOPOLE_COLUMNS, points, phases,
                   strength_g=scene.strength_g, string_thickness=scene.string_thickness)

@@ -462,6 +462,22 @@ class TestTraceCircuit:
         # the lift's term grows as the cube of the dimension
         assert circuits._work(1, 100, FAST) - circuits._work(1, 1, FAST) == 101 ** 3 // 4 - 2
 
+    def test_solid_angles_admitted_by_the_same_budget(self, monkeypatch):
+        # ORACLE_STEPS a sample: 400000 samples fill MAX_WORK, one more passes it,
+        # and the circuit is not sampled
+        assert circuits._over_budget(circuits.MAX_WORK // circuits.ORACLE_STEPS,
+                                     None, None) is None
+        why = circuits._over_budget(circuits.MAX_WORK // circuits.ORACLE_STEPS + 1, None, None)
+        assert why.startswith("400001 solid-angle samples ask for 2000005000 steps")
+
+        def unreachable(*args):
+            raise AssertionError("sampled past the work budget")
+
+        monkeypatch.setattr(circuits, "sample_circuit", unreachable)
+        with pytest.raises(ValueError, match="400001 solid-angle samples"):
+            circuits.solid_angle_samples(
+                Circuit(((0.5, 1.0), (1.5, 1.0), (1.5, -1.0), (0.5, -1.0)), 100000))
+
     def test_refinement_depth_exceeded_near_singularity(self):
         # a segment passing within 1e-5 of the degeneracy keeps a ~pi jump
         # no matter how finely it is bisected

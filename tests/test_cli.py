@@ -3,22 +3,27 @@
 import argparse
 import json
 import math
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geomphase import (MonopoleScene, PhaseTrace, PancharatnamReading, circuits, spinsys,
-                       unwrap_append)
+from geomphase import (MonopoleScene, PhaseTrace, PancharatnamReading, circuits, geometry,
+                       spinsys, unwrap_append)
 from geomphase.circuits import Circuit, preset_circuit
 from geomphase.cli import (
+    BLOCK_ROWS,
+    TRACE_COLUMNS,
     circuit_from_json,
     main,
     parse_args,
     _build_parser,
-    _trace_table,
+    _write_table,
 )
+from geomphase.phase import SAMPLE_FIELDS
 
 # the trace CSV header that README documents
 TRACE_CSV_HEADER = "index,b1,bz,c,alpha_wrapped,alpha_unwrapped,oracle_unwrapped"
@@ -467,6 +472,50 @@ class TestRun:
         assert err.startswith("geomphase: error: ") and "MAX_WORK" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["oracle"], ["monopole", "--strength", "0.5"]],
+                             ids=["oracle", "monopole"])
+    @pytest.mark.parametrize("points, samples", [(250000, 1000001), (100000, 400001)],
+                             ids=["max-points", "max-work"])
+    def test_solid_angles_over_budget_exit_2_before_any_work(self, command, points, samples,
+                                                             tmp_path, capsys, monkeypatch):
+        # the fan-sum takes 145-234 us a sample: 1000001 samples would take
+        # minutes, and 400001 are one sample past MAX_WORK
+        def unreachable(*args):
+            raise AssertionError("sampled past the work budget")
+
+        monkeypatch.setattr(circuits, "sample_circuit", unreachable)
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        assert main([*command, "--circuit", "spqrs", "--points-per-segment", str(points),
+                     "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"geomphase: error: {samples} solid-angle samples ask for ")
+        assert err.count("\n") == 1 and "MAX_WORK" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, series", [
+        (["oracle"], "oracle_phase_trace"),
+        (["monopole", "--strength", "0.5"], "monopole_transport_trace"),
+    ], ids=["oracle", "monopole"])
+    def test_solid_angles_within_budget_run(self, command, series, tmp_path, capsys,
+                                            monkeypatch):
+        # 100001 samples are admitted; a flat stand-in for the fan-sum keeps
+        # the run short, and every sample is written
+        taken = []
+
+        def flat(points, *args):
+            taken.append(len(points))
+            return np.zeros(len(points))
+
+        monkeypatch.setattr(geometry, series, flat)
+        out = tmp_path / "out.csv"
+        assert main([*command, "--circuit", "spqrs", "--points-per-segment", "25000",
+                     "--out", str(out)]) == 0
+        assert taken == [100001]
+        assert capsys.readouterr().out.startswith("winding=0 ")
+        assert len(out.read_text().splitlines()) == 100002
+
     def test_over_budget_trace_on_a_singular_point_exits_2(self, tmp_path, capsys):
         # sample 125000 of the first leg sits on (1, 0), but the 750001
         # samples at 10**8 steps are an input error, found before sampling
@@ -557,21 +606,102 @@ class TestRun:
         assert "winding=0 " in capsys.readouterr().out
 
 
+def _trace_text(trace, fmt, tmp_path):
+    """The table that simulate writes for trace, as text."""
+    path = tmp_path / f"trace.{fmt}"
+    _write_table(path, fmt, TRACE_COLUMNS, [trace.samples[name] for name in SAMPLE_FIELDS],
+                 metadata=None)
+    return path.read_text(encoding="utf-8")
+
+
+def _reference_cell(x):
+    if isinstance(x, int):
+        return str(x)
+    return "" if math.isnan(x) else f"{x:.16e}"
+
+
+def _reference_table(fmt, columns, rows, **head):
+    """The row-wise writer that _write_table replaced, which built the whole
+    table, one tuple (and for JSON one dict) per row, before writing it;
+    kept as the reference for the bytes _write_table writes."""
+    if fmt == "json":
+        samples = [
+            {name: x for name, x in zip(columns, row) if not math.isnan(x)}
+            for row in rows
+        ]
+        return json.dumps({**head, "samples": samples}, indent=2) + "\n"
+    lines = [",".join(columns)] + [",".join(map(_reference_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+# NaN, signed zero, the smallest subnormal, the largest finite float and
+# values whose repr and %.16e forms differ in length
+SPECIAL_VALUES = (np.nan, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  0.1, 1e-7, -2.5, 1e22, 0.0)
+
+
+def _synthetic_columns(rows, seed):
+    """An integer index and six float columns mixing SPECIAL_VALUES with
+    random values of every magnitude."""
+    rng = np.random.default_rng(seed)
+    columns = [np.arange(rows)]
+    for k in range(6):
+        special = np.resize(np.roll(SPECIAL_VALUES, k), rows)
+        random = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        columns.append(np.where(rng.random(rows) < 0.5, special, random))
+    return columns
+
+
 class TestCsvWriter:
-    def test_empty_oracle_cell(self):
+    def test_empty_oracle_cell(self, tmp_path):
         trace = PhaseTrace()
         unwrap_append(trace, PancharatnamReading(2.0, 0.5), b1=0.1, bz=0.2)
-        text = _trace_table(trace, "csv")
-        lines = text.splitlines()
+        lines = _trace_text(trace, "csv", tmp_path).splitlines()
         assert lines[0] == TRACE_CSV_HEADER
         assert lines[1].endswith(",")  # oracle column empty, no padding
 
-    def test_json_omits_missing_oracle(self):
+    def test_json_omits_missing_oracle(self, tmp_path):
         trace = PhaseTrace()
         unwrap_append(trace, PancharatnamReading(2.0, 0.5), b1=0.1, bz=0.2)
-        (sample,) = json.loads(_trace_table(trace, "json"))["samples"]
+        (sample,) = json.loads(_trace_text(trace, "json", tmp_path))["samples"]
         assert sample == {"index": 0, "b1": 0.1, "bz": 0.2, "c": 2.0,
                           "alpha_wrapped": 0.5, "alpha_unwrapped": 0.5}
+
+
+class TestTableWriter:
+    HEAD = {"metadata": {"beta": 20.0, "circuit_name": None, "refine": False,
+                         "vertices": ((0.5, -0.0), (1.5, 1e-300), (1.0, 1.0))},
+            "two_j": 3}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("undefined", [False, True], ids=["all-defined", "undefined"])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      2 * BLOCK_ROWS + 1])
+    def test_bytes_match_the_row_wise_writer(self, rows, undefined, fmt, tmp_path):
+        columns = _synthetic_columns(rows, seed=rows)
+        head = self.HEAD if undefined else {}
+        if undefined:  # as the oracle command writes: no c and no alpha columns
+            columns[3:6] = [None] * 3
+        full = [np.full(rows, np.nan) if column is None else column for column in columns]
+        expected = _reference_table(fmt, TRACE_COLUMNS,
+                                    zip(*(column.tolist() for column in full)), **head)
+        path = tmp_path / f"table.{fmt}"
+        _write_table(path, fmt, TRACE_COLUMNS, columns, **head)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_streams_in_bounded_memory(self, fmt, tmp_path):
+        # 10**5 samples: the row-wise writer, given its row list, peaked at
+        # 72.8 MB (CSV) and 196.0 MB (JSON) on these columns
+        columns = _synthetic_columns(10 ** 5, seed=7)
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / f"table.{fmt}", fmt, TRACE_COLUMNS, columns,
+                         metadata={"beta": 20.0})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
 
 
 class TestRegressionFixture:
