@@ -13,7 +13,7 @@ circuit, beta and monopole scene resolved onto it and its runner in `run`.
 Output files are byte-deterministic for a given configuration: CSV floats
 are written in scientific notation with 17 significant digits and JSON uses
 a fixed layout.  Sample tables are written from their columns, a block of
-rows at a time; the sweep's nested JSON grid is still built whole.  Exit codes:
+rows at a time, and the sweep's nested JSON grid a row at a time.  Exit codes:
 0 success, 2 invalid input (numbers too large for a float and allocations too
 large to make included), 3 numerical failure (orthogonal states at a sample,
 non-quantized winding, refinement depth exceeded, degenerate geometry).
@@ -214,6 +214,28 @@ def _write_table(path, fmt, names, columns, **head):
         fh.write(last)
 
 
+def _write_grid(path, result):
+    """Write a sweep as JSON {"b1_values", "bz_values", "modulus_c",
+    "alpha_wrapped"}, laid out as json.dumps(..., indent=2) lays out the whole
+    document, one grid row at a time; a NaN phase is null."""
+    def nested(values, depth):  # json.dumps(values, indent=2), depth levels in
+        return json.dumps(values, indent=2).replace("\n", "\n" + "  " * depth)
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write('{\n  "b1_values": ' + nested(result.b1_values.tolist(), 1)
+                 + ',\n  "bz_values": ' + nested(result.bz_values.tolist(), 1))
+        for name, grid in (("modulus_c", result.modulus_c),
+                           ("alpha_wrapped", result.alpha_wrapped)):
+            fh.write(f',\n  "{name}": [')
+            for i, row in enumerate(grid):
+                row = row.tolist()
+                if name == "alpha_wrapped":
+                    row = [None if math.isnan(a) else a for a in row]
+                fh.write((",\n    " if i else "\n    ") + nested(row, 2))
+            fh.write("\n  ]")
+        fh.write("\n}\n")
+
+
 def _summary(winding, delta, max_dev=0.0):
     residual = abs(delta / (2.0 * np.pi) - winding)
     return f"winding={winding} residual={residual:.6f} max_oracle_dev={max_dev:.6f}"
@@ -283,14 +305,7 @@ def _run_sweep(config):
                  result.modulus_c, result.alpha_wrapped)
         _write_table(config.out, "csv", SWEEP_COLUMNS, [grid.ravel() for grid in grids])
     else:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps({
-                "b1_values": list(result.b1_values),
-                "bz_values": list(result.bz_values),
-                "modulus_c": result.modulus_c.tolist(),
-                "alpha_wrapped": [[None if math.isnan(a) else a for a in row]
-                                  for row in result.alpha_wrapped],
-            }, indent=2) + "\n")
+        _write_grid(config.out, result)
     undefined = int(np.isnan(result.alpha_wrapped).sum())
     print(
         f"min_c={result.modulus_c.min():.6f} max_c={result.modulus_c.max():.6f} "

@@ -258,21 +258,12 @@ def _check_hermitian(H):
 
 
 def step_unitary(H, dt):
-    """Short-time propagator U = exp(-i H dt) for a Hermitian H: the
-    closed-form Cayley-Klein expression in dimension 2, and eigh of H in
-    any other."""
+    """Short-time propagator U = exp(-i H dt) for a Hermitian H, through
+    eigh of H in every dimension."""
     H = np.asarray(H, dtype=complex)
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     _check_hermitian(H)
-    if H.shape[0] == 2:
-        # H = a0 + v . sigma with the trace phase a0 split off
-        a0 = 0.5 * (H[0, 0] + H[1, 1]).real
-        w = np.array([np.conj(H[1, 0])])
-        a, b = _ck_steps(w, 0.5 * (H[0, 0] - H[1, 1]).real, dt,
-                         np.empty(1, complex), np.empty((4, 1)),
-                         np.empty(1, bool))
-        return np.exp(-1j * a0 * dt) * _ck_matrix(a[0], b[0])
     w, v = np.linalg.eigh(H)
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 

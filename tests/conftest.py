@@ -1,0 +1,26 @@
+"""References shared by the test modules."""
+
+import numpy as np
+import pytest
+
+from geomphase.spinsys import hamiltonian_at, step_unitary
+
+
+def _sequential_total_unitary(params, arm, settings):
+    """Reference for total_unitary that multiplies step_unitary factors one
+    by one.  step_unitary exponentiates each dense step through eigh, so the
+    reference shares neither the Cayley-Klein steps, nor the chunk loop, nor
+    the pairwise reduction."""
+    shift = 0.5 if settings.sampling_rule == "midpoint" else 0.0
+    ref = np.eye(params.dim, dtype=complex)
+    for k in range(settings.n_steps):
+        H = hamiltonian_at(params, (k + shift) * settings.dt, arm)
+        ref = step_unitary(H, settings.dt) @ ref
+    return ref
+
+
+@pytest.fixture
+def sequential_total_unitary():
+    """The one sequential step-product reference, as a function of
+    (params, arm, settings)."""
+    return _sequential_total_unitary

@@ -35,7 +35,7 @@ from geomphase import (
 from geomphase import circuits, phase, spinsys
 from geomphase.circuits import MAX_POINTS
 from geomphase.cli import main
-from geomphase.spinsys import SAMPLING_RULES, hamiltonian_at, step_unitary
+from geomphase.spinsys import SAMPLING_RULES, hamiltonian_at
 
 TWO_PI = 2.0 * np.pi
 
@@ -684,23 +684,10 @@ class TestBlockReadings:
                       spinsys._block_memo.clear):
             clear()
 
-    @staticmethod
-    def sequential(point, beta, two_j, omega_sign, settings):
-        """Both arms' propagators, one step_unitary factor at a time."""
-        params = FieldParams(*point, beta, two_j, omega_sign)
-        shift = 0.5 if settings.sampling_rule == "midpoint" else 0.0
-        arms = []
-        for arm in ArmSense:
-            u = np.eye(two_j + 1, dtype=complex)
-            for k in range(settings.n_steps):
-                h = hamiltonian_at(params, (k + shift) * settings.dt, arm)
-                u = step_unitary(h, settings.dt) @ u
-            arms.append(u)
-        return params, arms
-
     @pytest.mark.parametrize("two_j", [1, 3])
     @pytest.mark.parametrize("n_steps", [9, 40, 100])
-    def test_block_edges_match_sequential_reading(self, small_blocks, two_j, n_steps):
+    def test_block_edges_match_sequential_reading(self, small_blocks,
+                                                 sequential_total_unitary, two_j, n_steps):
         # 11 points fill blocks of 5, 5 and 1 (spin-1/2) or 4, 4 and 3
         # (spin-3/2) at 9 and 40 steps, and of 4, 4 and 3 at 100 steps
         rng = np.random.default_rng(31)
@@ -709,8 +696,9 @@ class TestBlockReadings:
         for rule in SAMPLING_RULES:
             settings = PropagationSettings(n_steps, rule)
             for omega_sign in (1, -1):
-                arms = [self.sequential(p, beta, two_j, omega_sign, settings)
-                        for p in points]
+                fields = [FieldParams(*p, beta, two_j, omega_sign) for p in points]
+                arms = [(f, [sequential_total_unitary(f, arm, settings) for arm in ArmSense])
+                        for f in fields]
                 for branch in (0, (two_j + 1) // 2):
                     args = (beta, two_j, omega_sign, settings, branch)
                     c, alpha = circuits._readings(points, *args)

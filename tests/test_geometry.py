@@ -1,5 +1,6 @@
 """Solid angles, the adiabatic oracle and monopole transport."""
 
+import functools
 import math
 import tracemalloc
 
@@ -36,6 +37,31 @@ def cap_area(h):
 
 def rect_points(vertices, pps=100):
     return [tuple(p) for p in sample_circuit(Circuit(tuple(vertices), pps))]
+
+
+def random_polygons():
+    """(vertices, samples at 200 points per segment) of 25 seeded random
+    polygons, each with 3 to 6 vertices and no sample within 0.05 of a
+    degeneracy (+-1, 0)."""
+    rng = np.random.default_rng(34)
+    done = 0
+    while done < 25:
+        n_vertices = int(rng.integers(3, 7))
+        radius = rng.uniform(0.3, 2.5, size=n_vertices)
+        angle = np.sort(rng.uniform(0.0, TWO_PI, size=n_vertices))
+        center = (rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0))
+        verts = [
+            (center[0] + r * np.cos(a), center[1] + r * np.sin(a))
+            for r, a in zip(radius, angle)
+        ]
+        points = rect_points(verts, pps=200)
+        if any(
+            min(np.hypot(b1 - 1, bz), np.hypot(b1 + 1, bz)) < 0.05
+            for b1, bz in points
+        ):
+            continue
+        done += 1
+        yield verts, points
 
 
 def boundary_integral(b1, bz, n=8192):
@@ -268,24 +294,7 @@ class TestOracleTrace:
                 oracle_phase_trace(points, two_j)
 
     def test_quantization_on_random_polygons(self):
-        rng = np.random.default_rng(34)
-        done = 0
-        while done < 25:
-            n_vertices = int(rng.integers(3, 7))
-            radius = rng.uniform(0.3, 2.5, size=n_vertices)
-            angle = np.sort(rng.uniform(0.0, TWO_PI, size=n_vertices))
-            center = (rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0))
-            verts = [
-                (center[0] + r * np.cos(a), center[1] + r * np.sin(a))
-                for r, a in zip(radius, angle)
-            ]
-            points = rect_points(verts, pps=200)
-            if any(
-                min(np.hypot(b1 - 1, bz), np.hypot(b1 + 1, bz)) < 0.05
-                for b1, bz in points
-            ):
-                continue
-            done += 1
+        for verts, points in random_polygons():
             oracle = oracle_phase_trace(points)
             turns = (oracle[-1] - oracle[0]) / TWO_PI
             expected = winding_number(verts, (1.0, 0.0)) - winding_number(
@@ -455,6 +464,21 @@ class TestMonopoleTransport:
         thick = monopole_transport_trace(points, scene)
         thin = monopole_transport_trace(points, MonopoleScene(-0.5))
         np.testing.assert_allclose(thick[:200], thin[:200], atol=1e-12)
+
+    def test_thin_string_is_the_oracle(self, monkeypatch):
+        # the oracle of spin factor n is the thin-string monopole of strength
+        # n/2, bit for bit: both scale the same unwrapped solid angles, and
+        # n * x / 2 and (n/2) * x round alike.  Each loop's area is computed
+        # once here and read by every n and both traces.
+        monkeypatch.setattr(geometry, "_loop_area",
+                            functools.lru_cache(None)(geometry._loop_area))
+        presets = [sample_circuit(preset_circuit(name)[0])
+                   for name in ("abcda", "efghe", "spqrs")]
+        for points in presets + [points for _, points in random_polygons()]:
+            for n in (1, -1, 2, -2, 3, -3):
+                oracle = oracle_phase_trace(points, n)
+                thin = monopole_transport_trace(points, MonopoleScene(n / 2))
+                assert oracle.tobytes() == thin.tobytes(), n
 
     def test_thin_profile_shares_trace_shape(self):
         # the transported phase varies sharply where the loop passes the

@@ -60,7 +60,7 @@ def test_a_tree_against_itself_is_the_same(tmp_path):
 
 
 def test_the_list_runs_every_command_without_its_out_flag():
-    assert len(same_bytes.RUNS) >= 19
+    assert len(same_bytes.RUNS) >= 21
     assert all("--out" not in argv for argv in same_bytes.RUNS.values())
     assert {argv[0] for argv in same_bytes.RUNS.values()} == {
         "simulate", "oracle", "sweep", "monopole"}

@@ -63,18 +63,6 @@ def dense_total_unitary(params, arm, settings):
     return steps[0]
 
 
-def sequential_total_unitary(params, arm, settings):
-    """Reference for total_unitary that multiplies step_unitary factors one
-    by one, so it shares neither the chunk loop nor the pairwise
-    reduction."""
-    shift = 0.5 if settings.sampling_rule == "midpoint" else 0.0
-    ref = np.eye(params.dim, dtype=complex)
-    for k in range(settings.n_steps):
-        H = hamiltonian_at(params, (k + shift) * settings.dt, arm)
-        ref = step_unitary(H, settings.dt) @ ref
-    return ref
-
-
 def phase_free_deviation(psi, ref):
     """Largest componentwise |psi - ref| once the global phase is removed.
 
@@ -261,22 +249,25 @@ class TestStepUnitary:
             step_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
 
     def test_methods_agree_3x3(self):
+        # eigh, step_unitary's one path, against scipy's Pade expm
         rng = np.random.default_rng(11)
         for _ in range(20):
             A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             H = A + A.conj().T
             U1 = step_unitary(H, 0.3)
             U2 = scipy.linalg.expm(-0.3j * H)
-            assert np.max(np.abs(U1 - U2)) < 1e-11
+            assert np.max(np.abs(U1 - U2)) < 1e-12
 
     def test_exact_2x2_matches_eigendecomposition(self):
+        # step_unitary is itself an eigendecomposition in dimension 2, so the
+        # reference is scipy's Pade expm; the sequential reference checks the
+        # Cayley-Klein kernel with this step
         rng = np.random.default_rng(12)
         for _ in range(20):
             A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             H = A + A.conj().T
             U1 = step_unitary(H, 0.7)
-            w, v = np.linalg.eigh(H)
-            U2 = (v * np.exp(-0.7j * w)) @ v.conj().T
+            U2 = scipy.linalg.expm(-0.7j * H)
             assert np.max(np.abs(U1 - U2)) < 1e-12
 
     def test_unitarity(self):
@@ -346,7 +337,7 @@ class TestEvolveArm:
         dense = reference(params, ArmSense.PLUS, settings)
         assert np.max(np.abs(auto - dense)) < 1e-11
 
-    def test_total_matches_sequential_step_product(self):
+    def test_total_matches_sequential_step_product(self, sequential_total_unitary):
         params = FieldParams(0.3, -0.5, 2.0, two_j=2)
         settings = PropagationSettings(40)
         U = total_unitary(params, ArmSense.MINUS, settings)
@@ -714,7 +705,8 @@ class TestChunkLoop:
         yield from self.shrunk(monkeypatch, CHUNK_STEPS=7)
 
     @pytest.mark.parametrize("two_j", [1, 3, 8])
-    def test_chunk_edges_match_sequential_step_product(self, small_chunks, two_j):
+    def test_chunk_edges_match_sequential_step_product(self, small_chunks,
+                                                        sequential_total_unitary, two_j):
         # 40 steps make five full chunks of 7 and a partial one; the
         # reference multiplies step_unitary factors one by one, so it shares
         # neither the chunk loop nor the pairwise reduction
@@ -732,7 +724,8 @@ class TestChunkLoop:
         yield from self.shrunk(monkeypatch, CHUNK_STEPS=16, TAIL=2)
 
     @pytest.mark.parametrize("two_j", [1, 3])
-    def test_time_order_across_chunk_edges(self, even_chunks, two_j):
+    def test_time_order_across_chunk_edges(self, even_chunks, sequential_total_unitary,
+                                            two_j):
         # 40 steps make two full chunks of 16 and a partial one of 8, which
         # reads the first 8 entries of the one 16-step grid; the reference
         # multiplies step_unitary factors one by one
@@ -755,7 +748,8 @@ class TestChunkLoop:
         yield from self.shrunk(monkeypatch, CHUNK_STEPS=64, TAIL=4)
 
     @pytest.mark.parametrize("two_j", [1, 3])
-    def test_full_tail_buffer_folds_in_chunk_order(self, small_tails, monkeypatch, two_j):
+    def test_full_tail_buffer_folds_in_chunk_order(self, small_tails, monkeypatch,
+                                                    sequential_total_unitary, two_j):
         # 1000 steps: 15 chunks of 64 with tails of 4 entries, folded after
         # chunks 4, 8 and 12, then 3 more, then the 40-step chunk alone,
         # whose tail has 3 entries

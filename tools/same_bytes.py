@@ -27,6 +27,9 @@ REVERSED_SPQRS = ("spqrs_reversed.json",
                   ' "points_per_segment": 30}\n')
 
 SWEEP = ["sweep", "--b1-min", "0.5", "--b1-max", "1.5", "--bz-min", "-0.5", "--bz-max", "0.5"]
+# a sweep from -0.0 at beta 0, where every cell reads one exact value
+SWEEP_BETA0 = ["sweep", "--b1-min", "-0.0", "--b1-max", "1.5", "--bz-min", "-0.5",
+               "--bz-max", "0.5", "--nx", "7", "--ny", "5", "--beta", "0", "--steps", "70"]
 
 # name -> argv without --out; the output file is the name with the --format suffix
 RUNS = {
@@ -49,11 +52,15 @@ RUNS = {
     "sweep-21x21": ["sweep", "--b1-min", "0.5", "--b1-max", "1.5", "--bz-min", "-0.1",
                     "--bz-max", "0.1", "--nx", "21", "--ny", "21", "--beta", "200",
                     "--steps", "2000"],
-    "sweep-7x5-beta0": ["sweep", "--b1-min", "-0.0", "--b1-max", "1.5", "--bz-min", "-0.5",
-                        "--bz-max", "0.5", "--nx", "7", "--ny", "5", "--beta", "0",
-                        "--steps", "70"],
+    "sweep-7x5-beta0": SWEEP_BETA0,
+    "sweep-7x5-beta0-json": SWEEP_BETA0 + ["--format", "json"],
     "sweep-3x3-json": SWEEP + ["--nx", "3", "--ny", "3", "--beta", "5", "--steps", "50",
                                "--format", "json"],
+    # nx != ny, and a row at bz = -0.0 beside its mirror at 0.0
+    "sweep-41x2-signed-zero-json": ["sweep", "--b1-min", "0.9", "--b1-max", "1.1",
+                                    "--bz-min", "-0.0", "--bz-max", "0.0", "--nx", "41",
+                                    "--ny", "2", "--beta", "20", "--steps", "400",
+                                    "--format", "json"],
     "sweep-9x5-degenerate": ["sweep", "--b1-min", "-2", "--b1-max", "2", "--bz-min", "-1",
                              "--bz-max", "1", "--nx", "9", "--ny", "5", "--beta", "5",
                              "--steps", "50"],
