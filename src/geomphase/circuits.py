@@ -17,8 +17,6 @@ import numpy as np
 from . import geometry, phase, spinsys
 from .errors import OrthogonalStates, RefinementDepthExceeded
 
-TWO_PI = 2.0 * np.pi
-
 # degeneracies of the field cycle: the cycle passes through zero field
 S1 = (1.0, 0.0)
 S2 = (-1.0, 0.0)
@@ -363,7 +361,7 @@ def winding_number(vertices, point):
     v = np.asarray(vertices, dtype=float)
     angles = np.arctan2(v[:, 1] - y0, v[:, 0] - x0)
     total = np.sum(phase.wrap_angle(np.roll(angles, -1) - angles))
-    return int(np.round(total / TWO_PI))
+    return int(phase.turns(total))
 
 
 def enclosed_singularity_count(circuit):

@@ -7,8 +7,8 @@ loop transported around a magnetic monopole at the origin, whose
 Aharonov-Bohm phase is the monopole strength times that solid angle.
 
 A solid angle is only defined modulo 4*pi.  solid_angle returns a canonical
-representative in (-2*pi, 2*pi]; trace routines unwrap consecutive values
-with a shortest-branch rule of period 4*pi, which keeps the series
+representative in (-2*pi, 2*pi]; trace routines unwrap consecutive values to
+Omega + 4*pi*N, N the integer running count of turns, which keeps the series
 continuous while the loop is dragged past the degeneracy.
 """
 
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLoop, StringOnBoundary
+from .phase import unwrap
 from .spinsys import MAX_TWO_J
 
 TWO_PI = 2.0 * np.pi
@@ -165,17 +166,13 @@ def solid_angle(loop):
 
 
 def unwrap_solid_angles(omegas):
-    """Continuous branch of a sequence of solid angles (period 4*pi)."""
-    omegas = np.asarray(omegas, dtype=float)
-    steps = np.diff(omegas)
-    steps -= FOUR_PI * np.floor(steps / FOUR_PI + 0.5)
-    # accumulate adds in order, as a running sum does
-    return np.add.accumulate(np.concatenate((omegas[:1], steps)))
+    """phase.unwrap of a sequence of solid angles, with period 4*pi."""
+    return unwrap(omegas, FOUR_PI)
 
 
 def _solid_angle_trace(circuit_samples):
-    """Solid angles of the loops centered at the samples, as computed and
-    unwrapped to a continuous branch.  solid_angle runs once per sample,
+    """Solid angles of the loops centered at the samples, as computed, and
+    their unwrap_solid_angles.  solid_angle runs once per sample,
     but computes the area of a z-mirror or a repeat of an earlier loop of
     the call only once; nothing is kept past the call."""
     global _trace_areas
@@ -201,7 +198,7 @@ def oracle_phase_trace(circuit_samples, two_j=1):
     if not abs(two_j) <= MAX_TWO_J:
         raise ValueError(f"the oracle's spin factor two_j must lie in "
                          f"[-{MAX_TWO_J}, {MAX_TWO_J}], got {two_j}")
-    _, unwrapped = _solid_angle_trace(circuit_samples)
+    _, (unwrapped, _) = _solid_angle_trace(circuit_samples)
     return two_j * (unwrapped - unwrapped[0]) / 2.0
 
 
@@ -245,7 +242,7 @@ def monopole_transport_trace(circuit_samples, scene):
     which restores a net zero change over any closed circuit.
     """
     g = scene.strength_g
-    omegas, unwrapped = _solid_angle_trace(circuit_samples)
+    _, (unwrapped, branch) = _solid_angle_trace(circuit_samples)
     phases = g * (unwrapped - unwrapped[0])
     if scene.string_thickness == 0.0:
         return phases
@@ -260,7 +257,6 @@ def monopole_transport_trace(circuit_samples, scene):
     # one branch transition of Omega per threading of the string; ramp the
     # compensating jump across the piercing run adjacent to each transition,
     # or across its own step where neither end is pierced
-    branch = np.round((unwrapped - np.asarray(omegas)) / FOUR_PI).astype(int)
     steps = np.flatnonzero(np.diff(branch))
     total = np.zeros(len(k))  # the threadings add up in order, one ramp at a time
     for step, jump in zip(steps, -g * FOUR_PI * np.diff(branch)[steps]):

@@ -4,9 +4,10 @@ The observable is the interference term 2<psi2|psi1>: its modulus c sets
 the fringe contrast and its argument alpha is the relative (Pancharatnam)
 phase.  alpha is only defined modulo 2*pi at a single parameter point, but
 monitoring it continuously along a circuit and unwrapping with the
-shortest-branch rule yields an unbounded phase whose total change over a
-closed circuit is quantized in multiples of 2*pi.  A PhaseTrace holds its
-samples as one record array and unwraps a whole column at a time.
+shortest-branch rule yields an unbounded phase alpha_wrapped + 2*pi*N, N an
+integer count of turns, whose total change over a closed circuit is
+quantized in multiples of 2*pi.  A PhaseTrace holds its samples as one
+record array and unwraps a whole column at a time.
 """
 
 from dataclasses import dataclass, field
@@ -24,11 +25,30 @@ ORTHOGONALITY_TOL = 1e-8
 WINDING_RESIDUAL_TOL = 0.05
 
 
-def wrap_angle(x):
-    """Map an angle (or array of angles) to the interval (-pi, pi]."""
-    w = np.asarray(x) % TWO_PI
-    w = np.where(w > np.pi, w - TWO_PI, w)
-    return float(w) if np.isscalar(x) or np.ndim(x) == 0 else w
+def wrap(x, period=TWO_PI):
+    """The one branch rule: x reduced into (-period/2, period/2], a float for
+    scalar x.  fmod and the shift after it are exact (Sterbenz), so an x in
+    range keeps its bits."""
+    w = np.fmod(x, period)
+    w = np.where(w > period / 2, w - period, np.where(w <= -period / 2, w + period, w))
+    return float(w) if np.ndim(x) == 0 else w
+
+
+def turns(x, period=TWO_PI):
+    """Whole periods that wrap removes from x, as integer-valued floats."""
+    return np.rint((x - wrap(x, period)) / period)
+
+
+def unwrap(values, period=TWO_PI):
+    """(values + period * n, n): the sequence with each step put on its
+    shortest branch, and n, the integer running count of turns added, with
+    n[0] = 0.  A zero count is -0.0, so its value keeps its bits."""
+    values = np.asarray(values, dtype=float)
+    n = -np.cumsum(turns(np.diff(values, prepend=values[:1]), period))
+    return values + period * n, n
+
+
+wrap_angle = wrap  # an angle, or an array of angles, mapped to (-pi, pi]
 
 
 @dataclass(frozen=True)
@@ -61,16 +81,14 @@ class PhaseTrace:
         """Trace of readings (modulus_c, alpha_wrapped) taken in order at the
         points (b1, bz), with the phase unwrapped.
 
-        The first sample starts the unwrapped series at its own wrapped
-        value; every later sample adds the wrapped-to-(-pi, pi] difference
-        from the previous wrapped phase (shortest-branch rule), so
-        consecutive samples must be close enough in parameter space that the
-        true step stays below pi in magnitude.
+        alpha_unwrapped = alpha_wrapped + 2*pi*N, where the integer running
+        turn count N is 0 at the first sample and each later sample adds the
+        turns that put its step from the previous wrapped phase into (-pi,
+        pi] (shortest-branch rule); so the true step between consecutive
+        samples must stay below pi in magnitude.
         """
         alpha = np.asarray(alpha_wrapped, dtype=float)
-        # accumulate adds in order, as a running sum does
-        unwrapped = np.add.accumulate(
-            np.concatenate((alpha[:1], wrap_angle(np.diff(alpha)))))
+        unwrapped = unwrap(alpha)[0]
         columns = (np.arange(len(alpha)), b1, bz, modulus_c, alpha, unwrapped,
                    oracle_unwrapped)
         samples = np.rec.fromarrays(np.broadcast_arrays(*columns),
@@ -166,13 +184,11 @@ def winding(trace):
 
 def winding_of_delta(delta_alpha):
     """Winding number of an accumulated phase change over a closed circuit."""
-    turns = delta_alpha / TWO_PI
-    w = int(np.round(turns))
-    residual = abs(turns - w)
+    residual = abs(wrap(delta_alpha)) / TWO_PI
     if residual >= WINDING_RESIDUAL_TOL:
         raise NonQuantizedWinding(
             f"net phase {delta_alpha:.6f} is {residual:.3f} turns away "
             "from the nearest integer winding",
             residual=residual,
         )
-    return w
+    return int(turns(delta_alpha))

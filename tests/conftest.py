@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from geomphase import PropagationSettings, preset_circuit, trace_circuit
 from geomphase.spinsys import hamiltonian_at, step_unitary
 
 
@@ -24,3 +25,24 @@ def sequential_total_unitary():
     """The one sequential step-product reference, as a function of
     (params, arm, settings)."""
     return _sequential_total_unitary
+
+
+def _preset_trace(name):
+    circuit, beta = preset_circuit(name)
+    return trace_circuit(circuit, beta, settings=PropagationSettings(20000, "left_endpoint"))
+
+
+# the presets' traces at the full 20000-step resolution, once per session
+@pytest.fixture(scope="session")
+def abcda_trace():
+    return _preset_trace("abcda")
+
+
+@pytest.fixture(scope="session")
+def efghe_trace():
+    return _preset_trace("efghe")
+
+
+@pytest.fixture(scope="session")
+def spqrs_trace():
+    return _preset_trace("spqrs")

@@ -2,8 +2,8 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -s) before
 asserting, so the whole gate can be read off the terminal.  The expensive
-circuit traces at the full 20000-step resolution are computed once per
-session and shared.
+circuit traces of the presets at the full 20000-step resolution are the
+session fixtures of conftest.py, computed once and shared.
 """
 
 from dataclasses import replace
@@ -46,24 +46,6 @@ def _report(number, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"acceptance {number:02d} [{name}]: {status}  {detail}")
     assert ok, f"criterion {number} ({name}): {detail}"
-
-
-@pytest.fixture(scope="module")
-def abcda_trace():
-    circuit, beta = preset_circuit("abcda")
-    return trace_circuit(circuit, beta, settings=FULL)
-
-
-@pytest.fixture(scope="module")
-def efghe_trace():
-    circuit, beta = preset_circuit("efghe")
-    return trace_circuit(circuit, beta, settings=FULL)
-
-
-@pytest.fixture(scope="module")
-def spqrs_trace():
-    circuit, beta = preset_circuit("spqrs")
-    return trace_circuit(circuit, beta, settings=FULL)
 
 
 def jump_concentration(trace):

@@ -309,11 +309,14 @@ class TestTraceCircuit:
             unwrap_append(replay, PancharatnamReading(s.modulus_c, s.alpha_wrapped),
                           b1=s.b1, bz=s.bz, oracle_unwrapped=s.oracle_unwrapped)
         assert replay.samples.tobytes() == trace.samples.tobytes()
-        # both match the shortest-branch rule applied one sample at a time
+        # both match the shortest-branch rule applied one sample at a time:
+        # each wrapped value plus 2*pi times the running sum of the steps'
+        # integer turn counts
         alphas = trace.samples.alpha_wrapped.tolist()
-        unwrapped = [alphas[0]]
+        unwrapped, n = [alphas[0]], 0
         for prev, cur in zip(alphas, alphas[1:]):
-            unwrapped.append(unwrapped[-1] + wrap_angle(cur - prev))
+            n -= round((cur - prev) / TWO_PI)
+            unwrapped.append(cur + TWO_PI * n)
         assert trace.samples.alpha_unwrapped.tolist() == unwrapped
         # a long seeded sequence whose steps cross +-pi
         rng = np.random.default_rng(3)

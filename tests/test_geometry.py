@@ -305,13 +305,15 @@ class TestOracleTrace:
 
 
 def unwrap_loop(omegas):
-    """The shortest-branch rule of period 4*pi, one step at a time."""
-    out = [omegas[0]]
+    """The shortest-branch rule of period 4*pi, one step at a time: each
+    value plus 4*pi times the running sum of the steps' integer turn
+    counts.  Returns the values and the counts."""
+    out, counts, n = [omegas[0]], [0], 0
     for prev, cur in zip(omegas, omegas[1:]):
-        step = cur - prev
-        step -= FOUR_PI * np.floor(step / FOUR_PI + 0.5)
-        out.append(out[-1] + step)
-    return np.array(out)
+        n -= round((cur - prev) / FOUR_PI)
+        out.append(cur + FOUR_PI * n)
+        counts.append(n)
+    return np.array(out), np.array(counts)
 
 
 class TestUnwrapSolidAngles:
@@ -323,8 +325,10 @@ class TestUnwrapSolidAngles:
             # wrapped into [-2*pi, 2*pi), so the walk jumps by 4*pi at the edges
             omegas = (walk + TWO_PI) % FOUR_PI - TWO_PI
             jumps += int(np.sum(np.abs(np.diff(omegas)) > TWO_PI))
-            unwrapped = unwrap_solid_angles(omegas)
-            assert unwrapped.tobytes() == unwrap_loop(omegas).tobytes()
+            unwrapped, counts = unwrap_solid_angles(omegas)
+            reference, reference_counts = unwrap_loop(omegas)
+            assert unwrapped.tobytes() == reference.tobytes()
+            assert counts.tolist() == reference_counts.tolist()
             np.testing.assert_allclose(unwrapped - unwrapped[0],
                                        walk - walk[0], atol=1e-9)
         assert jumps > 50

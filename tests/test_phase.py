@@ -1,5 +1,8 @@
 """Interference readings, unwrapping and winding extraction."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,11 +22,34 @@ from geomphase import (
 )
 
 TWO_PI = 2.0 * np.pi
+FOUR_PI = 4.0 * np.pi
 
 
 def random_state(rng, dim=2):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def exact_unwrap(values, period):
+    """Each value plus period times its running turn count, in exact
+    rationals, and the counts: every step from the previous value is moved
+    into (-period/2, period/2] by whole periods."""
+    p = Fraction(period)
+    out, counts, n = [Fraction(values[0])], [0], 0
+    for prev, cur in zip(values, values[1:]):
+        n -= math.ceil((Fraction(cur) - Fraction(prev)) / p - Fraction(1, 2))
+        out.append(Fraction(cur) + n * p)
+        counts.append(n)
+    return out, counts
+
+
+def unwrap_errors(values, period):
+    """phase.unwrap of values, after checking its turn counts against the
+    exact ones, with the exact error of each unwrapped value."""
+    got, n = phase.unwrap(values, period)
+    exact, counts = exact_unwrap(np.asarray(values).tolist(), period)
+    assert n.tolist() == counts
+    return got, n, [abs(Fraction(x) - e) for x, e in zip(got.tolist(), exact)]
 
 
 def build_trace(wrapped_values):
@@ -200,6 +226,35 @@ class TestUnwrap:
             rewrapped = wrap_angle(trace.samples.alpha_unwrapped)
             assert np.max(np.abs(rewrapped - wrapped)) < 1e-9
 
+    @pytest.mark.parametrize("name", ["abcda", "efghe", "spqrs"])
+    def test_presets_match_exact_rationals_to_one_rounding(self, name, request):
+        trace = request.getfixturevalue(f"{name}_trace")
+        got, _, errors = unwrap_errors(trace.samples.alpha_wrapped, TWO_PI)
+        assert got.tolist() == trace.samples.alpha_unwrapped.tolist()
+        # period * n is exact at these counts, so the sum is the one rounding
+        assert all(error <= Fraction(np.spacing(abs(x))) / 2
+                   for x, error in zip(got.tolist(), errors))
+
+    @pytest.mark.parametrize("period", [TWO_PI, FOUR_PI])
+    def test_random_walks_match_exact_rationals(self, period):
+        rng = np.random.default_rng(34)
+        most = 0
+        for _ in range(20):
+            m = int(rng.integers(2, 300))
+            # steps near +-period/2 but 1e-6 inside, so that no rounding of a
+            # difference moves it across the branch edge
+            steps = rng.choice((-1.0, 1.0), m) * rng.uniform(
+                period / 2 - 0.5, period / 2 - 1e-6, m)
+            values = (np.cumsum(steps) + period / 2) % period - period / 2
+            got, n, errors = unwrap_errors(values, period)
+            most = max(most, int(np.max(np.abs(n))))
+            # the sum rounds once, and so does period * n from 8 turns on,
+            # where it needs more than period's 50 significant bits
+            for x, k, error in zip(got.tolist(), n.tolist(), errors):
+                product = abs(Fraction(period * k) - Fraction(period) * int(k))
+                assert error <= Fraction(np.spacing(abs(x))) / 2 + product
+        assert most >= 8
+
 
 class TestWinding:
     def test_minus_one_turn(self):
@@ -242,3 +297,27 @@ class TestWrapAngle:
     def test_array_input(self):
         out = wrap_angle(np.array([0.0, 4.0, -4.0]))
         np.testing.assert_allclose(out, [0.0, 4.0 - TWO_PI, TWO_PI - 4.0], atol=1e-12)
+
+    @pytest.mark.parametrize("period", [TWO_PI, FOUR_PI])
+    def test_exact_reduction(self, period):
+        """(-period/2, period/2]: wrap_angle's contract at 2*pi, and wrap's
+        at 4*pi."""
+        def reduce(x):
+            return wrap_angle(x) if period == TWO_PI else phase.wrap(x, period)
+
+        half = period / 2
+        rng = np.random.default_rng(34)
+        edges = [-0.0, 5e-324, np.nextafter(-half, 0.0), half]
+        inside = np.concatenate((edges, rng.uniform(-half, half, 10**6)))
+        assert reduce(inside).tobytes() == inside.tobytes()
+        for x in edges:
+            out = reduce(x)
+            assert type(out) is float and math.copysign(1.0, out) == math.copysign(1.0, x)
+            assert out == x
+        assert reduce(-half) == half
+        huge = rng.choice((-1.0, 1.0), 10**6) * 10.0 ** rng.uniform(-300.0, 300.0, 10**6)
+        out = reduce(huge)
+        assert np.all((out > -half) & (out <= half))
+        # exact: each result is its input minus a whole number of periods
+        for x, w in zip(huge[:1000].tolist(), out[:1000].tolist()):
+            assert ((Fraction(x) - Fraction(w)) / Fraction(period)).denominator == 1
