@@ -60,14 +60,9 @@ class LoopGeometry:
 @dataclass(frozen=True)
 class MonopoleScene:
     """Monopole of strength g = n/2 at the origin, |g| <= MAX_STRENGTH, with
-    its string along -z.
-
-    string_thickness 0 is the thin, unobservable string, whose direction
-    does not enter the phase.  Any positive value selects the thick-string
-    model; the value itself does not enter the phase.  The string is fixed
-    along -z because the thick string's threading ramp is tied to where
-    solid_angle changes branch, the disk bz = 0, |b1| < 1.
-    """
+    its string along -z: at string_thickness 0 a thin string, whose direction
+    does not enter the phase, and otherwise a tube of that radius, which must
+    run where solid_angle changes branch (see monopole_transport_trace)."""
 
     strength_g: float
     string_thickness: float = 0.0
@@ -172,7 +167,7 @@ def unwrap_solid_angles(omegas):
 
 def _solid_angle_trace(circuit_samples):
     """Solid angles of the loops centered at the samples, as computed, and
-    their unwrap_solid_angles.  solid_angle runs once per sample,
+    their unwrap_solid_angles values.  solid_angle runs once per sample,
     but computes the area of a z-mirror or a repeat of an earlier loop of
     the call only once; nothing is kept past the call."""
     global _trace_areas
@@ -181,7 +176,7 @@ def _solid_angle_trace(circuit_samples):
         omegas = [solid_angle(LoopGeometry(b1, bz)) for b1, bz in circuit_samples]
     finally:
         _trace_areas = None
-    return omegas, unwrap_solid_angles(omegas)
+    return omegas, unwrap_solid_angles(omegas)[0]
 
 
 def oracle_phase_trace(circuit_samples, two_j=1):
@@ -198,7 +193,7 @@ def oracle_phase_trace(circuit_samples, two_j=1):
     if not abs(two_j) <= MAX_TWO_J:
         raise ValueError(f"the oracle's spin factor two_j must lie in "
                          f"[-{MAX_TWO_J}, {MAX_TWO_J}], got {two_j}")
-    _, (unwrapped, _) = _solid_angle_trace(circuit_samples)
+    _, unwrapped = _solid_angle_trace(circuit_samples)
     return two_j * (unwrapped - unwrapped[0]) / 2.0
 
 
@@ -230,42 +225,48 @@ def string_pierces_loop(loop):
     return d < 1.0
 
 
+def _tube_share(d, rho):
+    """Share f of the cross-section of a tube of radius rho > 0, its axis at
+    distances d (an array) from the center of a unit disk, inside the disk:
+    their lens area over pi*rho**2, so 0 from d = 1 + rho on, 1 while the
+    tube lies in the disk and 1/rho**2 while the disk lies in the tube.  The
+    excesses of the triangle (1, d, rho) are rounded once (Kahan), which
+    keeps thin, wide and near-concentric tubes accurate, and no step
+    squares rho, so no finite rho overflows."""
+    f = np.where(d < 1.0 + rho, (min(rho, 1.0) / rho) ** 2, 0.0)
+    lens = (d > abs(1.0 - rho)) & (d < 1.0 + rho)
+    d = d[lens]
+    over_1 = (np.maximum(d, rho) - 1.0) + np.minimum(d, rho)  # d + rho - 1
+    over_d = (max(1.0, rho) - d) + min(1.0, rho)  # 1 + rho - d
+    over_rho = (np.maximum(d, 1.0) - rho) + np.minimum(d, 1.0)  # 1 + d - rho
+    # the chord's half-angles at the disk's center and at the tube's axis
+    t = 2.0 * np.arctan2(np.sqrt(over_d * np.array([over_1, over_rho])),
+                         np.sqrt((1.0 + d + rho) * np.array([over_rho, over_1])))
+    # each circle's segment t - sin(t)*cos(t), by its Taylor series where that cancels
+    u = 4.0 * t * t
+    series = t * u / 6.0 * (1 - u / 20 * (1 - u / 42 * (1 - u / 72 * (1 - u / 110))))
+    segment = np.where(t < 0.1, series, t - np.sin(t) * np.cos(t))
+    f[lens] = (segment[0] / rho / rho + segment[1]) / np.pi
+    return f
+
+
 def monopole_transport_trace(circuit_samples, scene):
     """Accumulated interference phase while the loop is carried along a
-    circuit in the monopole field.
+    circuit in the monopole field, from the first sample.
 
-    The geometric part is g * Omega with Omega unwrapped continuously.  An
-    infinitely thin string (string_thickness = 0) contributes nothing
-    observable, so a circuit looping the monopole ends at +-4*pi*g.  A
-    finite-thickness string adds an observable, linearly ramped jump of
-    -4*pi*g per threading across the samples where it pierces the loop,
-    which restores a net zero change over any closed circuit.
+    A thin string (string_thickness = 0) is unobservable: the phase is
+    g * Omega, Omega unwrapped, and ends at +-4*pi*g on a circuit looping
+    the monopole.  A tube of radius rho = string_thickness along -z adds
+    4*pi*g*f, f = _tube_share(|b1|, rho) where bz < 0 and 0 elsewhere, to
+    g * Omega, Omega solid_angle's canonical value: a function of (b1, bz)
+    alone, which closes exactly on every closed circuit.  Omega changes
+    branch on the disk bz = 0, |b1| < 1, where the tube threads the loop,
+    so the phase is continuous across bz = 0, except that a circuit
+    crossing it within rho of (+-1, 0) steps by 4*pi*g*(f - [|b1| < 1]).
     """
-    g = scene.strength_g
-    _, (unwrapped, branch) = _solid_angle_trace(circuit_samples)
-    phases = g * (unwrapped - unwrapped[0])
-    if scene.string_thickness == 0.0:
-        return phases
-
-    b1, bz = np.asarray(circuit_samples, dtype=float).T
-    # rim contact is unambiguous for a finite tube: partially threaded
-    pierced = _string_disk_distances(b1, bz) <= 1.0 + 1e-9
-    # first and last sample of the pierced run through each pierced sample
-    k = np.arange(len(phases))
-    first = np.maximum.accumulate(np.where(pierced, 0, k + 1))
-    last = np.minimum.accumulate(np.where(pierced, k[-1], k - 1)[::-1])[::-1]
-    # one branch transition of Omega per threading of the string; ramp the
-    # compensating jump across the piercing run adjacent to each transition,
-    # or across its own step where neither end is pierced
-    steps = np.flatnonzero(np.diff(branch))
-    total = np.zeros(len(k))  # the threadings add up in order, one ramp at a time
-    for step, jump in zip(steps, -g * FOUR_PI * np.diff(branch)[steps]):
-        at = step if pierced[step] else step + 1
-        lo, hi = (first[at], last[at]) if pierced[at] else (step, step + 1)
-        # the ramp adds 0 before its run, np.linspace(0, jump, end + 1)[q] at
-        # ramp position q, and jump after it; it rises after the run's first
-        # sample, except from sample 0, from which the trace is measured
-        q, end = k - lo + (lo > 0), hi - lo + (lo > 0)
-        ramp = np.where(q >= end, jump, np.maximum(q, 0) * (jump / max(end, 1)))
-        total[1:] += ramp[1:]
-    return phases + total
+    g, rho = scene.strength_g, scene.string_thickness
+    omegas, flux = _solid_angle_trace(circuit_samples)
+    if rho > 0.0:  # the tube's flux share, in place of the unwrapping
+        b1, bz = np.asarray(circuit_samples, dtype=float).T
+        flux = np.asarray(omegas) + FOUR_PI * _tube_share(_string_disk_distances(b1, bz), rho)
+    return g * (flux - flux[0])

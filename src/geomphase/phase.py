@@ -170,12 +170,10 @@ def unwrap_append(trace, reading, b1=0.0, bz=0.0, oracle_unwrapped=None):
 
 
 def winding(trace):
-    """Integer winding number of a closed-circuit trace.
-
-    The trace must start and end at the same parameter point.  Raises
-    NonQuantizedWinding when the total unwrapped change is not close to an
-    integer multiple of 2*pi (undersampling or insufficient adiabaticity).
-    """
+    """Integer winding number of a closed-circuit trace, which must start and
+    end at the same parameter point.  When its last reading repeats its
+    first, as on every sampled circuit, NonQuantizedWinding cannot fire:
+    undersampling or too little adiabaticity shows as a wrong integer."""
     s = trace.samples
     if abs(s.b1[0] - s.b1[-1]) > 1e-9 or abs(s.bz[0] - s.bz[-1]) > 1e-9:
         raise ValueError("trace does not cover a closed circuit")
@@ -183,7 +181,8 @@ def winding(trace):
 
 
 def winding_of_delta(delta_alpha):
-    """Winding number of an accumulated phase change over a closed circuit."""
+    """Winding number of an accumulated phase change over a closed circuit;
+    NonQuantizedWinding if WINDING_RESIDUAL_TOL turns or more off an integer."""
     residual = abs(wrap(delta_alpha)) / TWO_PI
     if residual >= WINDING_RESIDUAL_TOL:
         raise NonQuantizedWinding(

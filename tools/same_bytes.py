@@ -49,6 +49,11 @@ RUNS = {
     "monopole-spqrs-thin": ["monopole", "--circuit", "spqrs", "--strength", "-0.5"],
     "monopole-spqrs-thick-json": ["monopole", "--circuit", "spqrs", "--strength", "1.5",
                                   "--string-thickness", "0.1", "--format", "json"],
+    # a tube whose rim crossing spans two of abcda's samples, and one wider than the loop
+    "monopole-abcda-thin-tube": ["monopole", "--circuit", "abcda", "--strength", "-0.5",
+                                 "--string-thickness", "0.01"],
+    "monopole-abcda-wide-tube": ["monopole", "--circuit", "abcda", "--strength", "-0.5",
+                                 "--string-thickness", "1.5"],
     "sweep-21x21": ["sweep", "--b1-min", "0.5", "--b1-max", "1.5", "--bz-min", "-0.1",
                     "--bz-max", "0.1", "--nx", "21", "--ny", "21", "--beta", "200",
                     "--steps", "2000"],
