@@ -166,17 +166,15 @@ def unwrap_solid_angles(omegas):
 
 
 def _solid_angle_trace(circuit_samples):
-    """Solid angles of the loops centered at the samples, as computed, and
-    their unwrap_solid_angles values.  solid_angle runs once per sample,
-    but computes the area of a z-mirror or a repeat of an earlier loop of
-    the call only once; nothing is kept past the call."""
+    """Solid angles of the loops centered at the samples, an array: solid_angle
+    runs once per sample, but computes the area of a z-mirror or a repeat of
+    an earlier loop of the call only once; nothing is kept past the call."""
     global _trace_areas
     _trace_areas = {}
     try:
-        omegas = [solid_angle(LoopGeometry(b1, bz)) for b1, bz in circuit_samples]
+        return np.array([solid_angle(LoopGeometry(b1, bz)) for b1, bz in circuit_samples])
     finally:
         _trace_areas = None
-    return omegas, unwrap_solid_angles(omegas)[0]
 
 
 def oracle_phase_trace(circuit_samples, two_j=1):
@@ -193,7 +191,7 @@ def oracle_phase_trace(circuit_samples, two_j=1):
     if not abs(two_j) <= MAX_TWO_J:
         raise ValueError(f"the oracle's spin factor two_j must lie in "
                          f"[-{MAX_TWO_J}, {MAX_TWO_J}], got {two_j}")
-    _, unwrapped = _solid_angle_trace(circuit_samples)
+    unwrapped = unwrap_solid_angles(_solid_angle_trace(circuit_samples))[0]
     return two_j * (unwrapped - unwrapped[0]) / 2.0
 
 
@@ -258,15 +256,17 @@ def monopole_transport_trace(circuit_samples, scene):
     g * Omega, Omega unwrapped, and ends at +-4*pi*g on a circuit looping
     the monopole.  A tube of radius rho = string_thickness along -z adds
     4*pi*g*f, f = _tube_share(|b1|, rho) where bz < 0 and 0 elsewhere, to
-    g * Omega, Omega solid_angle's canonical value: a function of (b1, bz)
-    alone, which closes exactly on every closed circuit.  Omega changes
+    g * Omega, with Omega in [-2*pi, 0] where bz < 0: a function of (b1,
+    bz) alone, which closes exactly on every closed circuit.  Omega changes
     branch on the disk bz = 0, |b1| < 1, where the tube threads the loop,
     so the phase is continuous across bz = 0, except that a circuit
     crossing it within rho of (+-1, 0) steps by 4*pi*g*(f - [|b1| < 1]).
     """
     g, rho = scene.strength_g, scene.string_thickness
-    omegas, flux = _solid_angle_trace(circuit_samples)
-    if rho > 0.0:  # the tube's flux share, in place of the unwrapping
-        b1, bz = np.asarray(circuit_samples, dtype=float).T
-        flux = np.asarray(omegas) + FOUR_PI * _tube_share(_string_disk_distances(b1, bz), rho)
+    omegas = _solid_angle_trace(circuit_samples)
+    if rho == 0.0:
+        flux = unwrap_solid_angles(omegas)[0]
+    else:  # where bz < 0, solid_angle's window puts Omega at +2*pi just under the disk
+        d = _string_disk_distances(*np.asarray(circuit_samples, dtype=float).T)
+        flux = omegas + FOUR_PI * (_tube_share(d, rho) - ((d < np.inf) & (omegas > np.pi)))
     return g * (flux - flux[0])

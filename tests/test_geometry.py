@@ -275,8 +275,8 @@ class TestOracleTrace:
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(geometry, name, counted)
-        omegas, _ = geometry._solid_angle_trace(points)
-        assert omegas == alone
+        omegas = geometry._solid_angle_trace(points)
+        assert omegas.tolist() == alone
         distinct = {(float(b1), abs(float(bz))) for b1, bz in points}
         assert calls == {"solid_angle": 401, "_loop_area": len(distinct)}
         assert len(distinct) == 201  # the rectangle is symmetric about bz = 0
@@ -449,8 +449,8 @@ class TestMonopoleTransport:
 
     def test_thick_string_memory_grows_with_samples_not_threadings(self):
         # a zig-zag of 100 vertices across bz = 0 under |b1| < 1 threads the
-        # string about 100 times; (threadings, samples) arrays of ramps grew
-        # the peak by 3.3 kB a sample, one running sum by about 0.1 kB
+        # tube about 100 times; the peak must grow with the samples alone,
+        # at about 0.1 kB a sample, not with the threadings as well
         verts = [(-0.8 + 1.6 * i / 99, 0.3 - 0.6 * (i % 2)) for i in range(100)]
         verts += [(0.9, 2.0), (-0.9, 2.0)]
         scene = MonopoleScene(0.5, string_thickness=0.1)
@@ -549,6 +549,27 @@ class TestTubeFlux:
                           rho, abs(1.0 - rho), 1.0 + rho, 1e308, np.inf])
             share = geometry._tube_share(d, rho)
             assert np.all((share >= 0.0) & (share <= (min(rho, 1.0) / rho) ** 2)), rho
+
+    def test_no_step_just_under_the_disk(self):
+        # solid_angle's window puts a loop within about 1e-10 under the disk
+        # at +2*pi, on the branch above it; the tube's phase must still take
+        # it from below, or that sample alone jumps by 4*pi*|g|.  The tube
+        # stays inside the loop, so its share is 1 below and 0 above, and
+        # the thick trace steps as the thin one does
+        scene = MonopoleScene(-0.5, string_thickness=0.1)
+        for bz in (-1e-12, -1e-10, -5e-324, -0.0, 0.0):
+            for pps in (3, 20):
+                points = rect_points([(0.5, 0.3), (0.5, bz), (0.3, -0.3), (0.3, 0.3)], pps)
+                thick = monopole_transport_trace(points, scene)
+                thin = monopole_transport_trace(points, MonopoleScene(-0.5))
+                steps = np.abs(np.diff(thick))
+                assert steps.max() <= np.abs(np.diff(thin)).max() + 1e-12, (bz, pps)
+                assert thick[-1] == 0.0, (bz, pps)
+        # and likewise for a trace that starts there
+        points = rect_points([(0.5, -1e-12), (0.3, -0.3), (0.3, 0.3), (0.5, 0.3)], 20)
+        steps = np.abs(np.diff(monopole_transport_trace(points, scene)))
+        thin = monopole_transport_trace(points, MonopoleScene(-0.5))
+        assert steps.max() <= np.abs(np.diff(thin)).max() + 1e-12
 
     def test_phase_does_not_depend_on_sampling(self):
         vertices = preset_circuit("abcda")[0].vertices
