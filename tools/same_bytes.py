@@ -77,6 +77,13 @@ RUNS = {
     "simulate-spqrs-32769": ["simulate", "--circuit", "spqrs", "--steps", "32769"],
     "simulate-spqrs-65543-j3": ["simulate", "--circuit", "spqrs", "--steps", "65543",
                                 "--two-j", "3"],
+    # the reversed field sense conjugates the overlap; at spin 1, branch 1 the
+    # overlap is real and the sign of a rounding-level imaginary part picks +-pi
+    "simulate-spqrs-omega-minus": ["simulate", "--circuit", "spqrs", "--two-j", "3", "--refine",
+                                   "--omega-sign", "-1", "--steps", "2000", "--format", "json"],
+    "simulate-abcda-j2-branch1-omega-minus": ["simulate", "--circuit", "abcda", "--two-j", "2",
+                                              "--branch", "1", "--steps", "2003",
+                                              "--omega-sign", "-1"],
 }
 
 PARTS = ("exit code", "stdout", "stderr", "output file")
