@@ -14,7 +14,6 @@ from .circuits import (
     Circuit,
     SweepResult,
     TraceMetadata,
-    enclosed_singularity_count,
     max_oracle_deviation,
     preset_circuit,
     sample_circuit,
@@ -26,11 +25,9 @@ from .errors import (
     DegenerateLoop,
     DegenerateStart,
     GeomphaseError,
-    NonHermitianInput,
     NonQuantizedWinding,
     OrthogonalStates,
     RefinementDepthExceeded,
-    StringOnBoundary,
 )
 from .geometry import (
     LoopGeometry,
@@ -39,14 +36,11 @@ from .geometry import (
     monopole_transport_trace,
     oracle_phase_trace,
     solid_angle,
-    string_pierces_loop,
     unwrap_solid_angles,
 )
 from .phase import (
     PancharatnamReading,
     PhaseTrace,
-    intensity,
-    interference_scan,
     pancharatnam,
     unwrap_append,
     winding,
@@ -58,10 +52,8 @@ from .spinsys import (
     FieldParams,
     PropagationSettings,
     evolve_arm,
-    hamiltonian_at,
     initial_state,
     spin_matrices,
-    step_unitary,
     total_unitary,
 )
 
@@ -76,7 +68,6 @@ __all__ = [
     "GeomphaseError",
     "LoopGeometry",
     "MonopoleScene",
-    "NonHermitianInput",
     "NonQuantizedWinding",
     "OrthogonalStates",
     "PancharatnamReading",
@@ -86,16 +77,11 @@ __all__ = [
     "S1",
     "S2",
     "SINGULAR_POINTS",
-    "StringOnBoundary",
     "SweepResult",
     "TraceMetadata",
     "ab_phase",
-    "enclosed_singularity_count",
     "evolve_arm",
-    "hamiltonian_at",
     "initial_state",
-    "intensity",
-    "interference_scan",
     "max_oracle_deviation",
     "monopole_transport_trace",
     "oracle_phase_trace",
@@ -104,8 +90,6 @@ __all__ = [
     "sample_circuit",
     "solid_angle",
     "spin_matrices",
-    "step_unitary",
-    "string_pierces_loop",
     "sweep_plane",
     "total_unitary",
     "trace_circuit",

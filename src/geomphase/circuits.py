@@ -209,7 +209,7 @@ def solid_angle_samples(circuit):
     return sample_circuit(circuit)
 
 
-def _readings(points, beta, two_j, omega_sign, settings, branch):
+def _readings(points, beta, two_j, settings, branch):
     """Readings (c, alpha) at the rows (b1, bz) of points, as two arrays;
     alpha is NaN where phase.reading finds the arm states orthogonal.
 
@@ -235,8 +235,7 @@ def _readings(points, beta, two_j, omega_sign, settings, branch):
     order = np.argsort(block_of, kind="stable")
     cuts = np.flatnonzero(np.diff(block_of[order])) + 1
     for b, members in enumerate(np.split(order, cuts)):
-        block = [spinsys.FieldParams(b1, bz, beta, two_j, omega_sign)
-                 for b1, bz in points[members]]
+        block = [spinsys.FieldParams(b1, bz, beta, two_j) for b1, bz in points[members]]
         states = spinsys.initial_states(block, branch)
         spinsys.propagate_block(
             [p for p, k in zip(block, members) if partner[k] == k], settings,
@@ -273,7 +272,7 @@ def _refine(points, c, alpha, args):
         jumps = np.flatnonzero(steps > REFINE_TRIGGER)
         if not jumps.size:
             break
-        why = _over_budget(len(points) + jumps.size, args[1], args[3])  # two_j, settings
+        why = _over_budget(len(points) + jumps.size, args[1], args[2])  # two_j, settings
         if why or depth == REFINE_MAX_DEPTH:
             (b0, z0), (b1, z1) = points[jumps[0]], points[jumps[0] + 1]
             why = (f"at depth {depth + 1} bisection, {why}; the wrapped phase jumps"
@@ -299,7 +298,10 @@ def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings()
     Returns a PhaseTrace whose samples carry the interference modulus, the
     wrapped and unwrapped phase, and the solid-angle oracle prediction for
     the starting branch and omega_sign (the unwrapped phase starts at its
-    first wrapped value, the oracle at zero).  With refine=True, every
+    first wrapped value, the oracle at zero).  omega_sign = -1 reverses the
+    field's sense, which swaps the arms and so conjugates every overlap:
+    the readings are taken at +1 and their phase is negated.  Any other
+    omega_sign is a ValueError.  With refine=True, every
     consecutive pair whose wrapped-phase step exceeds pi/2 is bisected, one
     depth at a time (depth <= 8, MAX_POINTS points and MAX_WORK in all), and
     the midpoints are spliced in; where several refined points fail, the
@@ -308,7 +310,9 @@ def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings()
     two_j at the vertex of largest |b1| + |bz|, which bounds every point.
     """
     widest = spinsys.FieldParams(*max(circuit.vertices, key=lambda v: abs(v[0]) + abs(v[1])),
-                                 beta, two_j, omega_sign)
+                                 beta, two_j)
+    if omega_sign not in (1, -1):
+        raise ValueError(f"omega_sign must be +1 or -1, got {omega_sign}")
     why = _over_budget(circuit.points_per_segment * len(circuit.vertices) + 1,
                        widest.two_j, settings)
     if why:
@@ -323,14 +327,14 @@ def trace_circuit(circuit, beta, two_j=1, settings=spinsys.PropagationSettings()
             f"sample {k} at (b1={b1:.6g}, bz={bz:.6g}) sits on a singular point; "
             "the interference phase is undefined there", sample_index=k)
 
-    args = (beta, widest.two_j, omega_sign, settings, branch)
+    args = (beta, widest.two_j, settings, branch)
     c, alpha = _readings(points, *args)
     _require_defined(points, alpha, at_samples=True)
-    if refine:
+    if refine:  # |wrap(-x)| == |wrap(x)|: either sense bisects alike
         points, c, alpha = _refine(points, c, alpha, args)
     oracle = geometry.oracle_phase_trace(points, omega_sign * (two_j - 2 * branch))
     return phase.PhaseTrace.from_readings(
-        points[:, 0], points[:, 1], c, alpha, oracle,
+        points[:, 0], points[:, 1], c, omega_sign * alpha, oracle,
         metadata=TraceMetadata(
             beta=beta, two_j=two_j, omega_sign=omega_sign, branch=branch,
             n_steps=settings.n_steps, sampling_rule=settings.sampling_rule,
@@ -364,20 +368,8 @@ def winding_number(vertices, point):
     return int(phase.turns(total))
 
 
-def enclosed_singularity_count(circuit):
-    """Signed strength-weighted count of singular points inside a circuit.
-
-    The two degeneracies carry opposite unit strengths: a circuit winding
-    (1, 0) clockwise once accumulates -2*pi, while the same traversal
-    around (-1, 0) accumulates +2*pi.
-    """
-    return winding_number(circuit.vertices, S1) - winding_number(
-        circuit.vertices, S2
-    )
-
-
 def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
-                settings=spinsys.PropagationSettings(), omega_sign=1, branch=0):
+                settings=spinsys.PropagationSettings(), branch=0):
     """Pancharatnam readings over an (nx, ny) grid of parameter points.
 
     Each axis holds its range's ends and the points spaced equally between
@@ -397,8 +389,7 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
         if not math.isfinite(float(hi) - float(lo)):
             raise ValueError(f"the {name} range [{lo}, {hi}] needs finite ends "
                              "and a finite span")
-    widest = spinsys.FieldParams(max(b1_range, key=abs), max(bz_range, key=abs), beta,
-                                 two_j, omega_sign)
+    widest = spinsys.FieldParams(max(b1_range, key=abs), max(bz_range, key=abs), beta, two_j)
     why = _over_budget(nx * ny, widest.two_j, settings)
     if why:
         raise ValueError(why)
@@ -406,6 +397,6 @@ def sweep_plane(b1_range, bz_range, grid, beta, two_j=1,
     bzs = _spaced(bz_range[0], bz_range[1], np.arange(ny), ny - 1)
     # cells row-major in bz: b1 varies fastest
     cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
-    c, alpha = _readings(cells, beta, widest.two_j, omega_sign, settings, branch)
+    c, alpha = _readings(cells, beta, widest.two_j, settings, branch)
     shape = (ny, nx)
     return SweepResult(b1s, bzs, c.reshape(shape), alpha.reshape(shape))

@@ -51,7 +51,10 @@ def _is_number(x):
 
 def circuit_from_json(text):
     """Parse the strict circuit schema; unknown keys are rejected."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("circuit JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("circuit JSON must be an object")
     allowed = {"vertices", "points_per_segment"}
@@ -139,6 +142,8 @@ def _build_parser():
                       help="monopole strength, a nonzero half-integer")
     mono.add_argument("--string-thickness", type=float, default=0.0)
 
+    parser.float_flags = {flag for p in sub.choices.values() for action in p._actions
+                          if action.type is float for flag in action.option_strings}
     return parser
 
 
@@ -150,11 +155,30 @@ def parse_args(argv=None):
     directory) are reported the same way.
     """
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_float_values(
+        sys.argv[1:] if argv is None else argv, parser.float_flags))
     try:
         return _config_from_namespace(ns)
     except INPUT_ERRORS as exc:
         parser.exit(2, _error_line(exc))
+
+
+def _join_float_values(argv, flags):
+    """argv with each of flags and the value after it joined as flag=value
+    where the value starts with '-' and float() takes it: argparse reads
+    -1e-3 or -inf after a flag as a flag of its own."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in flags and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
 
 
 def _error_line(exc):

@@ -14,10 +14,6 @@ class DegenerateStart(GeomphaseError):
     """The t=0 field vanishes, so the starting eigenstate is undefined."""
 
 
-class NonHermitianInput(GeomphaseError):
-    """A matrix passed as a Hamiltonian failed the Hermiticity check."""
-
-
 class OrthogonalStates(GeomphaseError):
     """The two arm states are orthogonal; their relative phase is undefined.
 
@@ -39,11 +35,6 @@ class NonQuantizedWinding(GeomphaseError):
 
 class DegenerateLoop(GeomphaseError):
     """The loop passes through the origin; its solid angle is undefined."""
-
-
-class StringOnBoundary(GeomphaseError):
-    """The string ray meets the loop circle itself; the flux jump location
-    is ambiguous."""
 
 
 class RefinementDepthExceeded(GeomphaseError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLoop, StringOnBoundary
+from .errors import DegenerateLoop
 from .phase import unwrap
 from .spinsys import MAX_TWO_J
 
@@ -206,21 +206,6 @@ def _string_disk_distances(b1, bz):
     below the monopole, inf elsewhere (bz = -0.0 included).  b1 and bz may
     be arrays."""
     return np.where(bz < 0.0, np.abs(b1), np.inf)
-
-
-def string_pierces_loop(loop):
-    """Whether the monopole string, the open ray along -z, threads the open
-    disk of the loop.
-
-    Raises StringOnBoundary when the ray meets the loop circle itself
-    (within 1e-9), where the flux jump location is ambiguous.
-    """
-    d = float(_string_disk_distances(loop.b1, loop.bz))
-    if abs(d - 1.0) < 1e-9:
-        raise StringOnBoundary(
-            f"string ray meets the loop rim at (b1={loop.b1}, bz={loop.bz})"
-        )
-    return d < 1.0
 
 
 def _tube_share(d, rho):

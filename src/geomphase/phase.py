@@ -122,40 +122,6 @@ def pancharatnam(psi1, psi2):
     return PancharatnamReading(c, alpha)
 
 
-def intensity(psi1, psi2):
-    """Recombined intensity ||psi1 + psi2||^2 = 2 + c*cos(alpha)."""
-    s = psi1 + psi2
-    return float(np.vdot(s, s).real)
-
-
-def interference_scan(psi1, psi2, n_phases=64):
-    """Locate alpha the way an interferometer would.
-
-    A state-independent phase shift phi is stepped through n_phases values
-    in [0, 2*pi); the recombined intensity ||exp(i*phi)*psi1 + psi2||^2 is
-    maximal at phi = -alpha.  The grid maximum is refined by quadratic
-    interpolation of the three surrounding points (cyclically).  Returns
-    the refined phi in (-pi, pi].
-    """
-    if n_phases < 8:
-        raise ValueError(f"n_phases must be >= 8, got {n_phases}")
-    if np.isnan(reading(np.vdot(psi2, psi1))[1]):
-        raise OrthogonalStates("interference scan is flat: states orthogonal")
-    phis = TWO_PI * np.arange(n_phases) / n_phases
-    intensities = np.empty(n_phases)
-    for k, phi in enumerate(phis):
-        shifted = np.exp(1j * phi) * psi1 + psi2
-        intensities[k] = np.vdot(shifted, shifted).real
-    k = int(np.argmax(intensities))
-    i_minus = intensities[(k - 1) % n_phases]
-    i_zero = intensities[k]
-    i_plus = intensities[(k + 1) % n_phases]
-    denom = i_minus - 2.0 * i_zero + i_plus
-    offset = 0.0 if denom == 0.0 else 0.5 * (i_minus - i_plus) / denom
-    step = TWO_PI / n_phases
-    return wrap_angle(phis[k] + offset * step)
-
-
 def unwrap_append(trace, reading, b1=0.0, bz=0.0, oracle_unwrapped=None):
     """Append a reading to a trace: its columns, each with the reading's
     value appended, go through PhaseTrace.from_readings, so the unwrapped

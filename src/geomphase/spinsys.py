@@ -6,14 +6,16 @@ Everything is expressed in units hbar = 1, omega = 1, B0 = 1, so one field
 cycle lasts T = pi and the coupling mu equals the adiabaticity parameter
 beta.  The two interferometer arms see counter-rotating field cycles
 
-    B_arm(t) = (b1 + cos t,  arm * omega_sign * sin t,  bz),
+    B_arm(t) = (b1 + cos t,  arm * sin t,  bz),
 
 and a spin J = two_j/2 evolves under
 
     H(t) = 2 * beta * (B_arm(t) . S),
 
 where S are the usual angular-momentum matrices.  The factor 2 makes
-two_j = 1 reduce exactly to beta * (sigma . B).
+two_j = 1 reduce exactly to beta * (sigma . B).  Reversing the field's
+sense, omega * T = -pi, swaps the arms, so it is propagated nowhere:
+circuits.trace_circuit reads it as the negated phase.
 
 Spin states are plain complex numpy vectors of length two_j + 1 with unit
 Euclidean norm; no wrapper class is used.
@@ -74,7 +76,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DegenerateStart, NonHermitianInput
+from .errors import DegenerateStart
 
 T_TOTAL = np.pi
 
@@ -103,16 +105,15 @@ class FieldParams:
     """Dimensionless field-cycle parameters.
 
     b1, bz are the static field offsets in units of the rotating amplitude,
-    beta is the adiabaticity parameter, two_j = 2J <= MAX_TWO_J selects the
-    spin, and omega_sign picks the sign in omega * T = +-pi.  A field scale
-    or start field that overflows when squared is rejected.
+    beta is the adiabaticity parameter and two_j = 2J <= MAX_TWO_J selects
+    the spin.  A field scale or start field that overflows when squared is
+    rejected.
     """
 
     b1: float
     bz: float
     beta: float
     two_j: int = 1
-    omega_sign: int = 1
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.b1, self.bz, self.beta))):
@@ -134,10 +135,7 @@ class FieldParams:
         if int(self.two_j) != self.two_j or not 1 <= self.two_j <= MAX_TWO_J:
             raise ValueError(f"two_j must be an integer in [1, {MAX_TWO_J}], "
                              f"got {self.two_j}")
-        if self.omega_sign not in (1, -1):
-            raise ValueError(f"omega_sign must be +1 or -1, got {self.omega_sign}")
         object.__setattr__(self, "two_j", int(self.two_j))
-        object.__setattr__(self, "omega_sign", int(self.omega_sign))
 
     def gamma(self):
         """Adiabaticity of the z-offset, gamma = bz * beta."""
@@ -192,18 +190,6 @@ def spin_matrices(two_j):
     return sx, sy, sz
 
 
-def hamiltonian_at(params, t, arm):
-    """Instantaneous Hamiltonian H(t) = 2*beta*(B_arm(t) . S)."""
-    if not 0.0 <= t <= T_TOTAL:
-        raise ValueError(f"t must lie in [0, pi], got {t}")
-    sx, sy, sz = spin_matrices(params.two_j)
-    t = float(t)
-    c = 2.0 * params.beta
-    return (c * (params.b1 + np.cos(t)) * sx
-            + c * int(arm) * params.omega_sign * np.sin(t) * sy
-            + c * params.bz * sz)
-
-
 def initial_state(params, branch=0):
     """Eigenstate of H(0), shared by both arms.
 
@@ -248,24 +234,6 @@ def initial_states(params, branch=0):
     flip = psi[np.arange(len(psi)), np.argmax(np.abs(psi), axis=1)] < 0.0
     psi[flip] = -psi[flip]
     return psi.astype(complex)
-
-
-def _check_hermitian(H):
-    scale = max(1.0, float(np.max(np.abs(H))))
-    dev = float(np.max(np.abs(H - H.conj().T)))
-    if dev > 1e-12 * scale:
-        raise NonHermitianInput(f"matrix deviates from Hermiticity by {dev:.3e}")
-
-
-def step_unitary(H, dt):
-    """Short-time propagator U = exp(-i H dt) for a Hermitian H, through
-    eigh of H in every dimension."""
-    H = np.asarray(H, dtype=complex)
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    _check_hermitian(H)
-    w, v = np.linalg.eigh(H)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
 def _ck_steps(w, vz, h, a, real, mask):
@@ -578,7 +546,7 @@ def total_unitary(params, arm, settings=PropagationSettings()):
     key = _memo_key(params, settings)
     if key not in _block_memo:
         propagate_block([params], settings)
-    sense = 0 if int(arm) * params.omega_sign > 0 else 1
+    sense = 0 if int(arm) > 0 else 1
     return _block_memo[key][sense].copy()
 
 

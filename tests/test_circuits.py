@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import hamiltonian_at
 from geomphase import (
     ArmSense,
     Circuit,
@@ -18,7 +19,6 @@ from geomphase import (
     RefinementDepthExceeded,
     S1,
     S2,
-    enclosed_singularity_count,
     evolve_arm,
     max_oracle_deviation,
     oracle_phase_trace,
@@ -35,7 +35,7 @@ from geomphase import (
 from geomphase import circuits, phase, spinsys
 from geomphase.circuits import MAX_POINTS
 from geomphase.cli import main
-from geomphase.spinsys import SAMPLING_RULES, hamiltonian_at
+from geomphase.spinsys import SAMPLING_RULES
 
 TWO_PI = 2.0 * np.pi
 
@@ -215,14 +215,15 @@ class TestTraceCircuit:
         for verts in shapes:
             circuit = Circuit(verts, points_per_segment=80)
             trace = trace_circuit(circuit, beta=30.0, settings=FAST, refine=True)
-            assert winding(trace) == enclosed_singularity_count(circuit), verts
+            enclosed = winding_number(verts, S1) - winding_number(verts, S2)
+            assert winding(trace) == enclosed, verts
 
     def test_double_winding_circuit(self):
         # two nested laps around the first degeneracy accumulate two turns
         verts = ((0.5, 1.0), (1.5, 1.0), (1.5, -1.0), (0.5, -1.0),
                  (0.4, 1.1), (1.6, 1.1), (1.6, -1.1), (0.4, -1.1))
         circuit = Circuit(verts, 60)
-        assert enclosed_singularity_count(circuit) == -2
+        assert winding_number(verts, S1) - winding_number(verts, S2) == -2
         trace = trace_circuit(circuit, beta=30.0, settings=FAST, refine=True)
         assert winding(trace) == -2
 
@@ -263,6 +264,12 @@ class TestTraceCircuit:
         circuit, beta = preset_circuit("abcda")
         trace = trace_circuit(circuit, beta, settings=FAST, omega_sign=-1)
         assert winding(trace) == 1
+
+    @pytest.mark.parametrize("omega_sign", [0, 2, -2])
+    def test_omega_sign_is_plus_or_minus_one(self, omega_sign):
+        circuit, beta = preset_circuit("spqrs")
+        with pytest.raises(ValueError, match="omega_sign must be"):
+            trace_circuit(circuit, beta, settings=FAST, omega_sign=omega_sign)
 
     def test_winding_follows_branch_projection(self):
         # the winding tracks the spin projection of the starting branch:
@@ -627,7 +634,7 @@ class TestSweep:
         assert np.signbit(result.bz_values).tolist() == [True, False]
         for i, bz in enumerate(result.bz_values):
             for j, b1 in enumerate(result.b1_values):
-                alone = circuits._readings(np.array([[b1, bz]]), 5.0, 3, 1, settings, 0)
+                alone = circuits._readings(np.array([[b1, bz]]), 5.0, 3, settings, 0)
                 assert np.concatenate(alone).tobytes() == np.array(
                     [result.modulus_c[i, j], result.alpha_wrapped[i, j]]).tobytes()
 
@@ -698,24 +705,23 @@ class TestBlockReadings:
         beta = 0.6  # c stays above 0.09, so alpha is well conditioned
         for rule in SAMPLING_RULES:
             settings = PropagationSettings(n_steps, rule)
-            for omega_sign in (1, -1):
-                fields = [FieldParams(*p, beta, two_j, omega_sign) for p in points]
-                arms = [(f, [sequential_total_unitary(f, arm, settings) for arm in ArmSense])
-                        for f in fields]
-                for branch in (0, (two_j + 1) // 2):
-                    args = (beta, two_j, omega_sign, settings, branch)
-                    c, alpha = circuits._readings(points, *args)
-                    for k, (params, (u_plus, u_minus)) in enumerate(arms):
-                        psi0 = np.linalg.eigh(hamiltonian_at(params, 0.0, ArmSense.PLUS))[1][:, branch]
-                        ref_c, ref_alpha = phase.reading(np.vdot(u_minus @ psi0, u_plus @ psi0))
-                        where = (rule, omega_sign, branch, k)
-                        assert c[k] > 0.05, where
-                        assert abs(c[k] - ref_c) < 1e-13, where
-                        assert abs(wrap_angle(alpha[k] - ref_alpha)) < 1e-13, where
-                        # a point reads alike alone and inside its block
-                        alone = circuits._readings(points[k:k + 1], *args)
-                        assert np.array(alone).tobytes() == np.array(
-                            [c[k:k + 1], alpha[k:k + 1]]).tobytes(), where
+            fields = [FieldParams(*p, beta, two_j) for p in points]
+            arms = [(f, [sequential_total_unitary(f, arm, settings) for arm in ArmSense])
+                    for f in fields]
+            for branch in (0, (two_j + 1) // 2):
+                args = (beta, two_j, settings, branch)
+                c, alpha = circuits._readings(points, *args)
+                for k, (params, (u_plus, u_minus)) in enumerate(arms):
+                    psi0 = np.linalg.eigh(hamiltonian_at(params, 0.0, ArmSense.PLUS))[1][:, branch]
+                    ref_c, ref_alpha = phase.reading(np.vdot(u_minus @ psi0, u_plus @ psi0))
+                    where = (rule, branch, k)
+                    assert c[k] > 0.05, where
+                    assert abs(c[k] - ref_c) < 1e-13, where
+                    assert abs(wrap_angle(alpha[k] - ref_alpha)) < 1e-13, where
+                    # a point reads alike alone and inside its block
+                    alone = circuits._readings(points[k:k + 1], *args)
+                    assert np.array(alone).tobytes() == np.array(
+                        [c[k:k + 1], alpha[k:k + 1]]).tobytes(), where
 
     @pytest.mark.parametrize("two_j", [1, 3])
     @pytest.mark.parametrize("n_steps", [9, 40, 100])
@@ -732,12 +738,11 @@ class TestBlockReadings:
                                  [(0.35, 0.5), (0.35, -0.5)]))
         for rule in SAMPLING_RULES:
             settings = PropagationSettings(n_steps, rule)
-            for omega_sign in (1, -1):
-                args = (0.6, two_j, omega_sign, settings, (two_j + 1) // 2)
-                reused = np.array(circuits._readings(points, *args)).tobytes()
-                alone = np.concatenate([circuits._readings(points[k:k + 1], *args)
-                                        for k in range(len(points))], axis=1)
-                assert reused == alone.tobytes(), (rule, omega_sign)
+            args = (0.6, two_j, settings, (two_j + 1) // 2)
+            reused = np.array(circuits._readings(points, *args)).tobytes()
+            alone = np.concatenate([circuits._readings(points[k:k + 1], *args)
+                                    for k in range(len(points))], axis=1)
+            assert reused == alone.tobytes(), rule
 
     def test_two_propagations_per_evaluated_point(self, monkeypatch):
         # the call identity the benchmark checks: total_unitary runs once per
@@ -916,21 +921,21 @@ class TestPartnerReuse:
         ((0.0, -0.0), 3, 5.0, 3),  # rows 0.0, 0.0 and -0.0: one repeat, one mirror
         ((-0.5, 0.5), 5, 0.0, 15),  # at beta = 0 every mirror is propagated alone
     ], ids=["mirrored-rows", "signed-zero-rows", "beta-0"])
-    @pytest.mark.parametrize("two_j, omega_sign, branch", [
-        (1, 1, 0), (1, -1, 1), (3, 1, 0), (3, -1, 2),
+    # a reversed b1 range runs its cells the other way along each row
+    @pytest.mark.parametrize("two_j, b1_range, branch", [
+        (1, (0.5, 1.5), 0), (1, (1.5, 0.5), 1), (3, (0.5, 1.5), 0), (3, (1.5, 0.5), 2),
     ], ids=["spin-1/2", "spin-1/2-reversed", "spin-3/2", "spin-3/2-middle-reversed"])
     def test_sweep_matches_cells_read_alone(self, monkeypatch, bz_range, ny, beta,
-                                            propagated_cells, two_j, omega_sign, branch):
+                                            propagated_cells, two_j, b1_range, branch):
         settings = PropagationSettings(60)
-        b1s = circuits._spaced(0.5, 1.5, np.arange(3), 2)
+        b1s = circuits._spaced(*b1_range, np.arange(3), 2)
         bzs = circuits._spaced(*bz_range, np.arange(ny), ny - 1)
         cells = np.column_stack([axis.ravel() for axis in np.meshgrid(b1s, bzs)])
-        args = (beta, two_j, omega_sign, settings, branch)
+        args = (beta, two_j, settings, branch)
         alone = np.concatenate([circuits._readings(cells[k:k + 1], *args)
                                 for k in range(len(cells))], axis=1)
         propagated, _ = self.counting(monkeypatch)
-        result = sweep_plane((0.5, 1.5), bz_range, (3, ny), beta, two_j, settings,
-                             omega_sign, branch)
+        result = sweep_plane(b1_range, bz_range, (3, ny), beta, two_j, settings, branch)
         assert sum(propagated) == propagated_cells
         assert circuits._partners(cells)[1].sum() == 3 * (ny // 2)
         assert result.modulus_c.tobytes() == alone[0].tobytes()

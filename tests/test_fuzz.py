@@ -195,3 +195,47 @@ def test_huge_draws_ask_for_more_than_the_work_budget():
         steps = MAX_STEPS if "--steps" in stress else 1
         two_j = MAX_TWO_J if "--two-j" in stress else 1
         assert _work(cells, two_j, PropagationSettings(steps)) > MAX_WORK, stress
+
+
+@pytest.mark.parametrize("depth", [10 ** 3, 10 ** 5])
+@pytest.mark.parametrize("command", ["simulate --beta=2", "oracle", "monopole --strength=0.5"])
+def test_deeply_nested_circuit_file_exits_2(tmp_path, capsys, command, depth):
+    # json.loads gives up on deep nesting with a RecursionError
+    out = tmp_path / "out.csv"
+    for k, text in enumerate(("[" * depth + "]" * depth,
+                              '{"vertices": ' + "[" * depth + "]" * depth + "}")):
+        path = tmp_path / f"deep{k}.json"
+        path.write_text(text)
+        assert main([*command.split(), f"--circuit={path}", f"--out={out}"]) == 2, text[:20]
+        err = capsys.readouterr().err
+        assert err == "geomphase: error: circuit JSON is nested too deeply\n"
+        assert not out.exists()
+
+
+# every float flag, in the command line of a cheap run
+FLOAT_FLAG_RUNS = {
+    "--beta": "simulate --circuit=spqrs --points-per-segment=1 --steps=5",
+    "--b1-min": "sweep --b1-max=1 --bz-min=0 --bz-max=1 --nx=2 --ny=2 --beta=2 --steps=5",
+    "--b1-max": "sweep --b1-min=-1 --bz-min=0 --bz-max=1 --nx=2 --ny=2 --beta=2 --steps=5",
+    "--bz-min": "sweep --b1-min=0 --b1-max=1 --bz-max=1 --nx=2 --ny=2 --beta=2 --steps=5",
+    "--bz-max": "sweep --b1-min=0 --b1-max=1 --bz-min=-1 --nx=2 --ny=2 --beta=2 --steps=5",
+    "--strength": "monopole --circuit=spqrs --points-per-segment=1",
+    "--string-thickness": "monopole --circuit=spqrs --points-per-segment=1 --strength=0.5",
+}
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+0", "-1e308", "-5e-1", "-inf"])
+@pytest.mark.parametrize("flag", sorted(FLOAT_FLAG_RUNS))
+def test_negative_exponent_form_is_a_value(tmp_path, capsys, flag, value):
+    # argparse reads such a value as a flag unless parse_args joins it on
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*FLOAT_FLAG_RUNS[flag].split(), flag, value, f"--out={out}"])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err and "expected one argument" not in err, err
+    if value == "-1e-3" and flag in ("--b1-min", "--bz-min"):
+        assert code == 0, err
+    if code == 2:
+        assert err.startswith("geomphase: error: ") and not out.exists(), err

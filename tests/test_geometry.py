@@ -13,13 +13,11 @@ from geomphase import (
     DegenerateLoop,
     LoopGeometry,
     MonopoleScene,
-    StringOnBoundary,
     ab_phase,
     monopole_transport_trace,
     oracle_phase_trace,
     sample_circuit,
     solid_angle,
-    string_pierces_loop,
     unwrap_solid_angles,
     winding_number,
 )
@@ -373,18 +371,21 @@ class TestAbPhase:
 
 
 class TestStringPiercing:
+    """The string, the open ray along -z, threads a loop's open disk where it
+    meets the loop's plane less than 1 from the loop's center."""
+
+    @staticmethod
+    def pierces(b1, bz):
+        return bool(geometry._string_disk_distances(b1, bz) < 1.0)
+
     def test_below_plane_inside_disk(self):
-        assert string_pierces_loop(LoopGeometry(0.5, -0.2))
+        assert self.pierces(0.5, -0.2)
 
     def test_above_plane(self):
-        assert not string_pierces_loop(LoopGeometry(0.5, 0.2))
+        assert not self.pierces(0.5, 0.2)
 
     def test_outside_disk(self):
-        assert not string_pierces_loop(LoopGeometry(1.5, -0.2))
-
-    def test_rim_contact_is_ambiguous(self):
-        with pytest.raises(StringOnBoundary):
-            string_pierces_loop(LoopGeometry(1.0, -0.2))
+        assert not self.pierces(1.5, -0.2)
 
     def test_string_runs_along_minus_z(self):
         # the string is the open ray along -z: it threads a loop with
@@ -392,11 +393,10 @@ class TestStringPiercing:
         for bz, pierced in ((0.0, False), (-0.0, False), (-1e-300, True),
                             (0.2, False), (-0.2, True)):
             for b1 in (0.5, -0.5):
-                assert string_pierces_loop(LoopGeometry(b1, bz)) == pierced, (b1, bz)
+                assert self.pierces(b1, bz) == pierced, (b1, bz)
         for b1 in (1.0, -1.0):
-            with pytest.raises(StringOnBoundary):
-                string_pierces_loop(LoopGeometry(b1, -0.2))
-            assert not string_pierces_loop(LoopGeometry(b1, 0.2))
+            assert geometry._string_disk_distances(b1, -0.2) == 1.0  # on the rim
+            assert not self.pierces(b1, 0.2)
         # the tube threads the loop where solid_angle changes branch, so it
         # adds a step of its own only while it crosses the rim, where its
         # share grows at most at the rate of the common chord, 2*min(rho, 1),

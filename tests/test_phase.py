@@ -12,8 +12,6 @@ from geomphase import (
     OrthogonalStates,
     PancharatnamReading,
     PhaseTrace,
-    intensity,
-    interference_scan,
     pancharatnam,
     unwrap_append,
     winding,
@@ -132,17 +130,32 @@ class TestReading:
         assert c == 0.0 and np.isnan(alpha)
 
 
+def recombined(psi1, psi2, phi=0.0):
+    """Intensity ||e^{i phi} psi1 + psi2||^2 of the two arms recombined, the
+    first shifted by the state-independent phase phi."""
+    s = np.exp(1j * phi) * psi1 + psi2
+    return float(np.vdot(s, s).real)
+
+
 class TestIntensity:
+    """A reading (c, alpha) predicts the recombined intensity 2 + c cos(alpha)."""
+
     def test_constructive(self):
         psi = np.array([1.0, 1.0j]) / np.sqrt(2)
-        assert intensity(psi, psi) == pytest.approx(4.0, abs=1e-12)
+        r = pancharatnam(psi, psi)
+        assert (r.modulus_c, r.alpha_wrapped) == pytest.approx((2.0, 0.0), abs=1e-15)
+        assert recombined(psi, psi) == pytest.approx(4.0, abs=1e-12)
 
     def test_destructive(self):
         psi = np.array([1.0, 1.0j]) / np.sqrt(2)
-        assert intensity(psi, -psi) == pytest.approx(0.0, abs=1e-12)
+        r = pancharatnam(psi, -psi)
+        assert (r.modulus_c, abs(r.alpha_wrapped)) == pytest.approx((2.0, np.pi), abs=1e-15)
+        assert recombined(psi, -psi) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert intensity(np.array([1.0, 0]), np.array([0, 1.0])) == pytest.approx(2.0)
+        psi1, psi2 = np.array([1.0, 0]), np.array([0, 1.0])
+        assert phase.reading(np.vdot(psi2, psi1))[0] == 0.0
+        assert recombined(psi1, psi2) == pytest.approx(2.0)
 
     def test_identity_with_reading(self):
         rng = np.random.default_rng(23)
@@ -153,40 +166,45 @@ class TestIntensity:
             except OrthogonalStates:
                 continue
             expected = 2.0 + r.modulus_c * np.cos(r.alpha_wrapped)
-            assert intensity(psi1, psi2) == pytest.approx(expected, abs=1e-12)
+            assert recombined(psi1, psi2) == pytest.approx(expected, abs=1e-12)
 
 
 class TestInterferenceScan:
+    """An interferometer finds alpha by shifting one arm by phi: the
+    recombined intensity 2 + c cos(alpha + phi) peaks at phi = -alpha."""
+
+    PHIS = TWO_PI * np.arange(64) / 64
+
     def test_identical_states(self):
         psi = np.array([0.8, 0.6j])
-        assert interference_scan(psi, psi, 64) == pytest.approx(0.0, abs=1e-9)
+        assert pancharatnam(psi, psi).alpha_wrapped == pytest.approx(0.0, abs=1e-15)
+        scan = [recombined(psi, psi, phi) for phi in self.PHIS]
+        assert self.PHIS[int(np.argmax(scan))] == 0.0
 
     def test_known_offset(self):
         psi = np.array([1.0, 1.0]) / np.sqrt(2)
-        phi = interference_scan(psi, np.exp(0.5j) * psi, 64)
-        assert phi == pytest.approx(0.5, abs=1e-2)
+        assert pancharatnam(psi, np.exp(0.5j) * psi).alpha_wrapped == pytest.approx(-0.5)
+        assert recombined(psi, np.exp(0.5j) * psi, 0.5) == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_pancharatnam(self):
         rng = np.random.default_rng(24)
-        n_phases = 64
-        tol = TWO_PI / n_phases**2
         for _ in range(200):
             psi1, psi2 = random_state(rng, 3), random_state(rng, 3)
             try:
-                alpha = pancharatnam(psi1, psi2).alpha_wrapped
+                r = pancharatnam(psi1, psi2)
             except OrthogonalStates:
                 continue
-            phi = interference_scan(psi1, psi2, n_phases)
-            assert abs(wrap_angle(phi + alpha)) < tol
+            scan = [recombined(psi1, psi2, phi) for phi in self.PHIS]
+            predicted = 2.0 + r.modulus_c * np.cos(r.alpha_wrapped + self.PHIS)
+            assert np.abs(scan - predicted).max() < 1e-12
 
     def test_orthogonal_raises(self):
+        psi1, psi2 = np.array([1.0, 0]), np.array([0, 1.0])
         with pytest.raises(OrthogonalStates):
-            interference_scan(np.array([1.0, 0]), np.array([0, 1.0]), 64)
-
-    def test_rejects_too_few_phases(self):
-        psi = np.array([1.0, 0.0])
-        with pytest.raises(ValueError):
-            interference_scan(psi, psi, 4)
+            pancharatnam(psi1, psi2)
+        # and the scan is flat
+        assert [recombined(psi1, psi2, phi) for phi in self.PHIS] == pytest.approx(
+            [2.0] * len(self.PHIS))
 
 
 class TestUnwrap:

@@ -7,20 +7,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import NonHermitianInput, hamiltonian_at, naive_total_unitary, step_unitary
 from geomphase import (
     ArmSense,
+    Circuit,
     DegenerateStart,
     FieldParams,
-    NonHermitianInput,
     PropagationSettings,
     evolve_arm,
-    hamiltonian_at,
     initial_state,
+    preset_circuit,
     spin_matrices,
-    step_unitary,
     total_unitary,
+    trace_circuit,
 )
-from geomphase import spinsys
+from geomphase import phase, spinsys
 from geomphase.spinsys import CHUNK_STEPS, MAX_STEPS, MAX_TWO_J, SAMPLING_RULES
 
 SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,7 +53,7 @@ def dense_total_unitary(params, arm, settings):
     t = (np.arange(settings.n_steps) + shift) * settings.dt
     c = 2.0 * params.beta
     H = ((c * (params.b1 + np.cos(t)))[:, None, None] * sx
-         + (c * int(arm) * params.omega_sign * np.sin(t))[:, None, None] * sy
+         + (c * int(arm) * np.sin(t))[:, None, None] * sy
          + c * params.bz * sz)
     w, v = np.linalg.eigh(H)
     steps = (v * np.exp(-1j * w * settings.dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
@@ -117,8 +118,6 @@ class TestFieldParams:
             FieldParams(0.0, 0.0, -1.0)
         with pytest.raises(ValueError):
             FieldParams(0.0, 0.0, 1.0, two_j=0)
-        with pytest.raises(ValueError):
-            FieldParams(0.0, 0.0, 1.0, omega_sign=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
@@ -357,11 +356,27 @@ class TestEvolveArm:
         assert err("midpoint", 400) < err("left_endpoint", 400) / 10
 
     def test_omega_sign_swaps_arms(self):
-        params_pos = FieldParams(0.3, 0.2, 1.5, omega_sign=1)
-        params_neg = FieldParams(0.3, 0.2, 1.5, omega_sign=-1)
-        _, a = evolve_arm(params_pos, ArmSense.PLUS, PropagationSettings(300))
-        _, b = evolve_arm(params_neg, ArmSense.MINUS, PropagationSettings(300))
-        np.testing.assert_allclose(a, b, atol=1e-14)
+        # omega * T = -pi swaps the arms and so conjugates every overlap: c
+        # keeps its bits and the phase is negated bit for bit, at spin 1/2
+        # and 3/2, on extreme and middle branches, with and without
+        # refinement, and on abcda at spin 1, branch 1, where the overlap is
+        # real and the sign of a rounding-level imaginary part picks +-pi
+        for name, points_per_segment, two_j, branch, refine in (
+                ("spqrs", 25, 1, 0, False), ("spqrs", 25, 1, 1, True),
+                ("spqrs", 25, 3, 0, True), ("spqrs", 25, 3, 1, False),
+                ("spqrs", 25, 3, 1, True), ("spqrs", 25, 3, 3, False),
+                ("abcda", 100, 2, 1, False)):
+            preset, beta = preset_circuit(name)
+            circuit = Circuit(preset.vertices, points_per_segment, name)
+            plus, minus = (trace_circuit(circuit, beta, two_j, PropagationSettings(2003),
+                                         refine, omega_sign, branch).samples
+                           for omega_sign in (1, -1))
+            where = (name, two_j, branch, refine)
+            assert minus.modulus_c.tobytes() == plus.modulus_c.tobytes(), where
+            for column in ("alpha_wrapped", "alpha_unwrapped"):
+                assert minus[column].tobytes() == (-plus[column]).tobytes(), (column, where)
+            # the oracle takes omega_sign as a factor: a zero factor keeps the sign of zero
+            assert (minus.oracle_unwrapped == -plus.oracle_unwrapped).all(), where
 
 
 class TestQuaternionKernel:
@@ -389,13 +404,46 @@ class TestQuaternionKernel:
     @pytest.mark.parametrize("n_steps", [CHUNK_STEPS - 1, CHUNK_STEPS + 1])
     @pytest.mark.parametrize("two_j", [1, 2])
     def test_negative_omega_sign_matches_eigendecomposition(self, two_j, n_steps):
-        params = FieldParams(-0.3, -0.8, 7.5, two_j=two_j, omega_sign=-1)
+        # the reversed sense's trace reads psi1 from the MINUS arm and psi2
+        # from the PLUS arm: its first reading against the dense products
+        params = FieldParams(-0.3, -0.8, 7.5, two_j)
+        circuit = Circuit(((params.b1, params.bz), (0.4, -0.6), (0.1, 0.7)), 1)
+        psi0 = initial_state(params)
         for rule in SAMPLING_RULES:
             settings = PropagationSettings(n_steps, rule)
-            for arm in ArmSense:
-                default = total_unitary(params, arm, settings)
-                dense = dense_total_unitary(params, arm, settings)
-                assert np.max(np.abs(default - dense)) < 1e-12, (rule, arm)
+            first = trace_circuit(circuit, 7.5, two_j, settings, omega_sign=-1).samples[0]
+            psi1, psi2 = (dense_total_unitary(params, arm, settings) @ psi0
+                          for arm in (ArmSense.MINUS, ArmSense.PLUS))
+            c, alpha = phase.reading(np.vdot(psi2, psi1))
+            assert abs(first.modulus_c - c) < 1e-12, rule
+            assert abs(phase.wrap(first.alpha_wrapped - alpha)) < 1e-12, rule
+
+    @pytest.mark.parametrize("n_steps", [
+        1, 7, 128, 129, 500, 20000, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1,
+        2 * CHUNK_STEPS + 7,
+    ])
+    def test_matches_naive_reduction_bit_for_bit(self, n_steps):
+        # a block of 64 points through 20000 steps and of 4 past them, each
+        # block with the z-mirrors of up to 8 of its points, and one point
+        # as a block of its own; the naive reduction shares only the step
+        # builder, the pairwise reducer and the pair product
+        rng = np.random.default_rng(104)
+        k = 64 if n_steps <= 20000 else 4
+        block = [FieldParams(b1, bz, beta) for b1, bz, beta in zip(
+            rng.uniform(-2.0, 2.0, k).tolist(), rng.uniform(-2.0, 2.0, k).tolist(),
+            rng.choice([2.0, 20.0], k).tolist())]
+        mirrors = [replace(p, bz=-p.bz) for p in block[:8]]
+        for rule in SAMPLING_RULES:
+            settings = PropagationSettings(n_steps, rule)
+            spinsys.propagate_block(block, settings, list(range(len(mirrors))))
+            read = [(p, [total_unitary(p, arm, settings) for arm in ArmSense])
+                    for p in block + mirrors]
+            spinsys._block_memo.clear()
+            read.append((block[0], [total_unitary(block[0], arm, settings) for arm in ArmSense]))
+            for p, arms in read:
+                for arm, u in zip(ArmSense, arms):
+                    naive = naive_total_unitary(p, arm, settings)
+                    assert u.tobytes() == naive.tobytes(), (rule, p, arm)
 
     @pytest.mark.parametrize("two_j", [1, 3])
     def test_history_independent(self, two_j):
@@ -828,10 +876,10 @@ class TestPropagationInvariants:
     # steps built several points at a time, one chunk, several chunks
     @pytest.mark.parametrize("n_steps", [500, 20000, 70001])
     @pytest.mark.parametrize("sampling_rule", SAMPLING_RULES)
-    @pytest.mark.parametrize("omega_sign", [1, -1])
-    def test_propagator_mirror_is_bit_exact(self, n_steps, sampling_rule, omega_sign):
-        # sigma_x maps H_-(b1, bz) onto H_+(b1, -bz) step by step and flips
-        # only signs, so the spin-1/2 kernel gives the same bits
+    @pytest.mark.parametrize("arm", [1, -1])
+    def test_propagator_mirror_is_bit_exact(self, n_steps, sampling_rule, arm):
+        # sigma_x maps H_-arm(b1, bz) onto H_arm(b1, -bz) step by step and
+        # flips only signs, so the spin-1/2 kernel gives the same bits
         assert n_steps <= CHUNK_STEPS or n_steps > 2 * CHUNK_STEPS
         rng = np.random.default_rng(103)
         settings = PropagationSettings(n_steps, sampling_rule)
@@ -839,26 +887,22 @@ class TestPropagationInvariants:
         for _ in range(2):
             b1, bz = rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5)
             beta = rng.uniform(0.0, 30.0)
-            plus = total_unitary(FieldParams(b1, -bz, beta, 1, omega_sign),
-                                 ArmSense.PLUS, settings)
-            minus = total_unitary(FieldParams(b1, bz, beta, 1, omega_sign),
-                                  ArmSense.MINUS, settings)
-            assert plus.tobytes() == (pauli_x @ minus @ pauli_x).tobytes(), (b1, bz)
+            mirrored = total_unitary(FieldParams(b1, -bz, beta), arm, settings)
+            other = total_unitary(FieldParams(b1, bz, beta), -arm, settings)
+            assert mirrored.tobytes() == (pauli_x @ other @ pauli_x).tobytes(), (b1, bz)
         # so a block keeps the z-mirrors of its points from their pairs, and
-        # each mirror's spin-J propagators have the bits it gets alone
+        # each mirror's spin-J propagator of this arm has the bits it gets alone
         for two_j in (1, 3):
-            block = [FieldParams(rng.uniform(-2.0, 2.0), bz, rng.uniform(0.0, 30.0),
-                                 two_j, omega_sign)
+            block = [FieldParams(rng.uniform(-2.0, 2.0), bz, rng.uniform(0.0, 30.0), two_j)
                      for bz in (*rng.uniform(-1.5, 1.5, 3), 0.0, -0.0)]
             mirrors = [replace(p, bz=-p.bz) for p in block]
             spinsys.propagate_block(block, settings, list(range(len(block))))
             assert len(spinsys._block_memo) == 10
-            kept = [[total_unitary(m, arm, settings) for arm in ArmSense] for m in mirrors]
-            for mirror, arms in zip(mirrors, kept):
+            kept = [total_unitary(m, arm, settings) for m in mirrors]
+            for mirror, u in zip(mirrors, kept):
                 spinsys._block_memo.clear()  # alone: a block of its own
-                for arm, u in zip(ArmSense, arms):
-                    assert total_unitary(mirror, arm, settings).tobytes() == u.tobytes(), (
-                        two_j, mirror)
+                assert total_unitary(mirror, arm, settings).tobytes() == u.tobytes(), (
+                    two_j, mirror)
 
     @pytest.mark.parametrize("two_j", [1, 3])
     def test_mirror_of_a_pair_with_a_zero_is_propagated(self, two_j, monkeypatch):
@@ -888,6 +932,24 @@ class TestPropagationInvariants:
                 for arm, u in zip(ArmSense, arms):
                     assert total_unitary(mirror, arm, settings).tobytes() == u.tobytes(), (
                         beta, n_steps, mirror)
+
+    @pytest.mark.parametrize("two_j", [1, 3])
+    def test_b1_reflection_under_midpoint(self, two_j):
+        # the midpoint grid is symmetric, pi - t_k = t_(n-1-k), and
+        # B_arm(pi - s; -b1, bz) = -B_-arm(s; b1, -bz); with the z-mirror
+        # this gives U(-b1, bz) = R U(b1, bz)^dagger R^dagger for each arm,
+        # R = exp(-i pi S_x), sigma_x up to a phase at spin-1/2
+        rng = np.random.default_rng(105)
+        r = scipy.linalg.expm(-1j * np.pi * spin_matrices(two_j)[0])
+        for n_steps in (1, 7, 500, 20000, 2 * CHUNK_STEPS + 7):
+            settings = PropagationSettings(n_steps, "midpoint")
+            for b1, bz, beta in zip(rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3),
+                                    (2.0, 20.0, 20.0)):
+                for arm in ArmSense:
+                    u = total_unitary(FieldParams(b1, bz, beta, two_j), arm, settings)
+                    v = total_unitary(FieldParams(-b1, bz, beta, two_j), arm, settings)
+                    gap = np.abs(v - r @ u.conj().T @ r.conj().T).max()
+                    assert gap < 1e-13, (n_steps, b1, bz, arm)
 
     def test_step_count_convergence(self):
         params = FieldParams(0.8, 0.3, 5.0)
